@@ -10,7 +10,8 @@ Exit codes: 2 for unusable input, 3 for enumeration-guard violations, 4 for
 a failed internal cross-check.
 
 The only environment variable honored is DISCZETA_CACHE: a directory for
-caching oracle enumeration results.
+caching oracle enumeration results.  Entries are keyed on the package version
+and the parameters; an unreadable entry counts as a miss.
 """
 
 from __future__ import annotations
@@ -20,9 +21,11 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 import time
 from fractions import Fraction
 
+from . import __version__
 from . import genfun as G
 from . import oracle as O
 from . import verify as V
@@ -77,10 +80,6 @@ def _emit(args, command: str, params: dict, result: dict, rows: list[tuple] | No
             print(f"{k}: {v}")
 
 
-def _series_json(series: TruncSeries) -> dict:
-    return series.to_json()
-
-
 def _series_rows(series: TruncSeries) -> list[tuple]:
     return [(f"t^{n}", render_coefficient(c)) for n, c in enumerate(series.coeffs)]
 
@@ -129,7 +128,7 @@ def cmd_series(args) -> int:
         series = G.sym_s_series(X, args.s, n, spec)
     else:  # pragma: no cover - argparse restricts choices
         raise InputError(f"unknown series kind {args.kind}")
-    _emit(args, "series", params, _series_json(series), _series_rows(series))
+    _emit(args, "series", params, series.to_json(), _series_rows(series))
     return 0
 
 
@@ -213,12 +212,36 @@ def cmd_hyper(args) -> int:
 
 
 def _cache_path(params: dict) -> str | None:
+    """The cache entry of an oracle call, keyed on the package version and the params."""
     cache_dir = os.environ.get("DISCZETA_CACHE")
     if not cache_dir:
         return None
     os.makedirs(cache_dir, exist_ok=True)
-    key = hashlib.sha256(json.dumps(params, sort_keys=True).encode()).hexdigest()[:24]
+    key_text = json.dumps({"version": __version__, "params": params}, sort_keys=True)
+    key = hashlib.sha256(key_text.encode()).hexdigest()[:24]
     return os.path.join(cache_dir, f"oracle-{key}.json")
+
+
+def _cache_load(path: str) -> dict | None:
+    """A cached result; None when the entry is missing, unreadable or not a JSON object."""
+    try:
+        with open(path) as fh:
+            result = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    return result if isinstance(result, dict) else None
+
+
+def _cache_store(path: str, result: dict) -> None:
+    """Write through a temporary file and rename it, so no reader sees half an entry."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".oracle-", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(result, fh, sort_keys=True)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _sweep_range(text: str) -> range:
@@ -278,14 +301,11 @@ def cmd_oracle(args) -> int:
         raise InputError(f"unknown oracle op {args.op}")
 
     cache = _cache_path(params)
-    if cache and os.path.exists(cache):
-        with open(cache) as fh:
-            result = json.load(fh)
-    else:
+    result = _cache_load(cache) if cache else None
+    if result is None:
         result = work()
         if cache:
-            with open(cache, "w") as fh:
-                json.dump(result, fh, sort_keys=True)
+            _cache_store(cache, result)
     result["elapsed_s"] = round(time.monotonic() - start, 3)
 
     rows = None

@@ -15,8 +15,12 @@ The series built here (all truncated in t):
 Two t-gradings coexist and must not be mixed silently: configuration series
 grade t by total multiplicity, the hypersurface series by number of points.
 The one sanctioned bridge is the identity
-``Z^[s](t) = zinv_{*^s}(t) * Z(t)``, used (and asserted) in the density
-computations; see ``hyper_density``.
+``Z^[s](t) = zinv_{*^s}(t) * Z(t)``.  The densities are computed on the
+multiplicity-graded side only; the bridge is checked in the tier-1 test
+``tests/test_genfun.py::TestSecondRoutes::test_zinv_star_bridge``.
+
+Evaluation at t = L^-m happens in a target ring (``_ring``): motivic-L,
+count(q) or Hodge-Deligne.  Only the ring classes know which one it is.
 
 Coefficient of t^n never involves S_k with k > n, so truncation at N keeps
 all symmetric-power generators at index <= N.
@@ -24,6 +28,7 @@ all symmetric-power generators at index <= N.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,12 +41,11 @@ from .errors import (
     InternalCheckError,
     SymbolicEvaluationError,
 )
-from .models import COUNT, EULER, HODGE, MOTIVIC, Specialization, UVPoly, XModel, zeta_coeffs
+from .models import COUNT, HODGE, MOTIVIC, Specialization, UVPoly, XModel, zeta_coeffs
 from .motive import (
     GRADING_MULT,
     GRADING_POINTS,
     NEG_INF,
-    LaurentL,
     MotivicClass,
     TruncSeries,
     eval_at_L_power,
@@ -59,9 +63,6 @@ def _stirling2(n: int, k: int) -> int:
     if k > n or k < 0:
         return 0
     return _stirling2(n - 1, k - 1) + k * _stirling2(n - 1, k)
-
-
-import itertools as _it
 
 
 @lru_cache(maxsize=None)
@@ -100,7 +101,7 @@ def _w_profile(profile: tuple[int, ...]) -> MotivicClass:
         return acc
     c, rest = profile[0], profile[1:]
     acc = _w_profile((c,)) * _w_profile(rest)
-    for ks in _it.product(*[range(m + 1) for m in rest]):
+    for ks in itertools.product(*[range(m + 1) for m in rest]):
         total = sum(ks)
         if not 1 <= total <= c:
             continue
@@ -128,16 +129,6 @@ def w_class(lam: GenPartition | tuple[int, ...]) -> MotivicClass:
     """
     profile = lam if isinstance(lam, tuple) else pt.multiplicity_profile(lam)
     return _w_profile(tuple(sorted(profile, reverse=True)))
-
-
-def w_class_from_chains(lam: GenPartition) -> MotivicClass:
-    """Independent route to [w_lambda]: the signed sum over <<-chains."""
-    acc = MotivicClass.zero()
-    for chain in pt.ll_chains(lam):
-        sign = -1 if (len(chain) - 1) % 2 else 1
-        term = MotivicClass.sym_product(pt.multiplicity_profile(chain[-1]))
-        acc = acc + sign * term
-    return acc
 
 
 def wbar_class(lam: GenPartition) -> MotivicClass:
@@ -318,88 +309,132 @@ def zinv_lambda(
 # evaluation at powers of L, by target ring
 
 
-class _Eval:
-    __slots__ = ("value", "tail")
+class _Ring:
+    """A target ring for evaluating series at t = L^-m.
 
-    def __init__(self, value, tail):
-        self.value = value
-        self.tail = tail
+    A subclass fixes the image of L and what truncating at a codimension
+    cutoff means there; ``_ring`` picks the one for a specialization.
+    """
+
+    symbol = "L"
+    # whether the stable class lim [Sym^n X]/M^n of P^n is computed here
+    stable_sym = True
+
+    def __init__(self, dim: int, L_image):
+        self.dim = dim
+        self.L_image = L_image
+
+    def L(self, exp: int):
+        """L^exp in the target ring."""
+        return self.L_image**exp
+
+    def evaluate(self, f: TruncSeries, m: int, cutoff: int):
+        """(sum_n f_n L^(-mn) truncated at codimension cutoff, the tail left out).
+
+        Needs m > dim, where the terms of a configuration series decay.
+        """
+        if m <= self.dim:
+            raise DivergenceError(
+                f"evaluation at {self.symbol}^-{m} diverges for dimension {self.dim}"
+            )
+        return self._evaluate(f, m, cutoff)
+
+    def evaluate_at_M(self, E: TruncSeries, cutoff: int):
+        """E(M^-1) = E(L^-dim), verifying decay over a tail window of E."""
+        d = self.dim
+        res = self._evaluate(E, max(d, 1), cutoff)
+        for n in range(max(1, E.order - max(3, E.order // 4) + 1), E.order + 1):
+            if self._visible(E.coeffs[n], d * n, cutoff):
+                raise DivergenceError(
+                    f"E({self.symbol}^-{d}) does not visibly converge at term {n}"
+                )
+        return res
+
+    def geometric(self, m: int, cutoff: int):
+        """L^-m / (1 - L^-m), truncated at codimension cutoff."""
+        value, _ = self._evaluate(TruncSeries.from_coeffs([0] + [1] * cutoff), m, cutoff)
+        return value
+
+    def truncate(self, value, cutoff: int):
+        return value
 
 
-def _count_q(X: XModel, spec: Specialization | None) -> int:
-    spec = spec or X.natural_spec()
-    if spec.q is not None:
-        return spec.q
-    if X.kind == "counts":
-        return X.params[0]
-    raise InputError("count evaluation needs q")
+class _MotivicRing(_Ring):
+    def L(self, exp: int):
+        return MotivicClass.lefschetz(exp)
+
+    def _evaluate(self, f, m, cutoff):
+        res = eval_at_L_power(f, m, self.dim, cutoff, require_margin=False)
+        return res.value, res.discarded_dim
+
+    def _visible(self, c, shift, cutoff):
+        # the product coerces int and LaurentL coefficients to MotivicClass
+        return (MotivicClass.one() * c).dimension(self.dim) - shift >= -cutoff
+
+    def truncate(self, value, cutoff):
+        kept, _ = value.truncate_below_dim(self.dim, -cutoff)
+        return kept
 
 
-def _eval_series(
-    f: TruncSeries,
-    X: XModel,
-    spec: Specialization | None,
-    m: int,
-    cutoff: int,
-    require_margin: bool = True,
-) -> _Eval:
-    """sum_n f_n L^(-mn) in the target ring, truncated at codimension cutoff."""
-    target = (spec or X.natural_spec()).target
-    d = X.dim
-    if target == MOTIVIC:
-        res = eval_at_L_power(f, m, d, cutoff, require_margin=require_margin)
-        return _Eval(res.value, res.discarded_dim)
-    if target == COUNT:
-        q = _count_q(X, spec)
-        if require_margin and m <= d:
-            raise DivergenceError(f"evaluation at q^-{m} diverges for dimension {d}")
+class _CountRing(_Ring):
+    """L -> q, exactly: nothing is truncated, and the tail is the last term."""
+
+    symbol = "q"
+
+    def __init__(self, dim: int, q: int):
+        super().__init__(dim, Fraction(q))
+
+    def _evaluate(self, f, m, cutoff):
         total = Fraction(0)
         last = Fraction(0)
         for n, c in enumerate(f.coeffs):
-            term = Fraction(c) / Fraction(q) ** (m * n)
+            term = Fraction(c) / self.L_image ** (m * n)
             total += term
             if term:
                 last = term
-        return _Eval(total, abs(last))
-    if target == HODGE:
-        if require_margin and m <= d:
-            raise DivergenceError(f"evaluation at (uv)^-{m} diverges for dimension {d}")
+        return total, abs(last)
+
+    def _visible(self, c, shift, cutoff):
+        return abs(Fraction(c)) / self.L_image**shift >= self.L_image**-cutoff
+
+    def geometric(self, m, cutoff):
+        return self.L(-m) / (1 - self.L(-m))
+
+
+class _HodgeRing(_Ring):
+    """L -> uv; codimension c is weight -2c."""
+
+    symbol = "(uv)"
+    stable_sym = False
+
+    def _evaluate(self, f, m, cutoff):
         total = UVPoly.from_int(0)
         dropped = NEG_INF
         for n, c in enumerate(f.coeffs):
-            if isinstance(c, int):
-                c = UVPoly.from_int(c)
-            term = c * UVPoly.term(1, -m * n, -m * n)
-            term, drop = term.truncate_below_weight(-2 * cutoff)
+            term, drop = (c * self.L(-m * n)).truncate_below_weight(-2 * cutoff)
             dropped = max(dropped, drop)
             total = total + term
-        return _Eval(total, dropped)
-    raise SymbolicEvaluationError(
-        f"the {target} target does not support evaluation at powers of L"
-    )
+        return total, dropped
 
+    def _visible(self, c, shift, cutoff):
+        return isinstance(c, UVPoly) and c.weight() - 2 * shift >= -2 * cutoff
 
-def _truncate_value(value, X: XModel, spec: Specialization | None, cutoff: int):
-    target = (spec or X.natural_spec()).target
-    if target == MOTIVIC:
-        kept, _ = value.truncate_below_dim(X.dim, -cutoff)
-        return kept
-    if target == HODGE:
+    def truncate(self, value, cutoff):
         kept, _ = value.truncate_below_weight(-2 * cutoff)
         return kept
-    return value
 
 
-def _L_power_value(X: XModel, spec: Specialization | None, exp: int):
-    """L^exp in the target ring."""
+_RINGS = {MOTIVIC: _MotivicRing, COUNT: _CountRing, HODGE: _HodgeRing}
+
+
+def _ring(X: XModel, spec: Specialization | None) -> _Ring:
+    """The evaluation ring of the target of ``spec`` (X's natural one by default)."""
     target = (spec or X.natural_spec()).target
-    if target == MOTIVIC:
-        return MotivicClass.lefschetz(exp)
-    if target == COUNT:
-        return Fraction(_count_q(X, spec)) ** exp
-    if target == HODGE:
-        return UVPoly.term(1, exp, exp)
-    raise SymbolicEvaluationError(f"no L-power in the {target} target")
+    if target not in _RINGS:
+        raise SymbolicEvaluationError(
+            f"the {target} target does not support evaluation at powers of L"
+        )
+    return _RINGS[target](X.dim, X.L_image(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -418,18 +453,15 @@ class HypersurfaceDensity:
     tail_indicator: object
 
 
-def _star_profile(s: int) -> GenPartition:
-    return GenPartition.of([pt.Part.gen("star")] * s) if s else GenPartition.empty()
-
-
 def hyper_density(
     X: XModel, d: int, s: int, cutoff: int, spec: Specialization | None = None
 ) -> HypersurfaceDensity:
     """Limiting density of divisors with exactly s singular geometric points:
     zeta^[s]_X(d+1) / zeta_X(d+1).
 
-    Computed two ways and cross-checked: through Z^[s] and Z evaluated at
-    t = L^-(d+1), and through the point-graded inverse series zinv_{*^s}.
+    Computed as Z^[s] * Z^-1 evaluated at t = L^-(d+1).  The second route,
+    through the point-graded inverse series zinv_{*^s}, is held by the tier-1
+    test ``tests/test_genfun.py::TestSecondRoutes::test_zinv_star_bridge``.
     """
     _check_hyper_args(X, d)
     if s < 0:
@@ -438,17 +470,9 @@ def hyper_density(
     order = cutoff + 1
     Z = zeta_series(X, order, spec)
     E = zeta_s_series(X, s, order, spec) * Z.inverse()
-    zi = zinv_lambda(X, _star_profile(s), order, spec)
-    if E != zi.regraded(GRADING_MULT):
-        raise InternalCheckError(
-            "Z^[s] * Z^-1 disagrees with the point-graded inverse series zinv_{*^s}"
-        )
-    v1 = _eval_series(E, X, spec, d + 1, cutoff)
-    v2 = _eval_series(zi, X, spec, d + 1, cutoff)
-    if v1.value != v2.value:
-        raise InternalCheckError("the two density pipelines evaluated differently")
+    value, tail = _ring(X, spec).evaluate(E, d + 1, cutoff)
     expr = f"zeta^[{s}]_X({d + 1})/zeta_X({d + 1})" if s else f"1/zeta_X({d + 1})"
-    return HypersurfaceDensity(d, s, v1.value, expr, cutoff, v1.tail)
+    return HypersurfaceDensity(d, s, value, expr, cutoff, tail)
 
 
 def hyper_ordered_density(
@@ -463,22 +487,15 @@ def hyper_ordered_density(
     m = d + 1
     inner = cutoff + s * d + 2
     w_img = w_of(X, (1,) * s, spec)
-    zeta_inv = _eval_series(zeta_series(X, inner, spec).inverse(), X, spec, m, inner)
-    target = (spec or X.natural_spec()).target
-    if target == COUNT:
-        q = Fraction(_count_q(X, spec))
-        factor = (q**-m) / (1 - q**-m)
-        value = w_img * factor**s * zeta_inv.value
-    else:
-        geom_coeffs = [0] + [1] * inner  # t + t^2 + ... = L^-m/(1 - L^-m) after eval
-        geom = _eval_series(TruncSeries.from_coeffs(geom_coeffs), X, spec, m, inner).value
-        value = zeta_inv.value
-        for _ in range(s):
-            value = value * geom
-        value = w_img * value
-        value = _truncate_value(value, X, spec, cutoff)
+    zeta_inv = zeta_series(X, inner, spec).inverse()
+    ring = _ring(X, spec)
+    value, tail = ring.evaluate(zeta_inv, m, inner)
+    geom = ring.geometric(m, inner)
+    for _ in range(s):
+        value = value * geom
+    value = ring.truncate(w_img * value, cutoff)
     expr = f"[X^{s}-diag]/zeta_X({m}) * (L^-{m}/(1-L^-{m}))^{s}"
-    return HypersurfaceDensity(d, s, value, expr, cutoff, zeta_inv.tail)
+    return HypersurfaceDensity(d, s, value, expr, cutoff, tail)
 
 
 def multi_point_density(
@@ -490,8 +507,9 @@ def multi_point_density(
         raise InputError("m must be >= 2")
     arg = math.comb(d + m - 1, d)
     order = cutoff + 2
-    res = _eval_series(zeta_series(X, order, spec).inverse(), X, spec, arg, cutoff)
-    return HypersurfaceDensity(d, None, res.value, f"1/zeta_X({arg})", cutoff, res.tail)
+    zeta_inv = zeta_series(X, order, spec).inverse()
+    value, tail = _ring(X, spec).evaluate(zeta_inv, arg, cutoff)
+    return HypersurfaceDensity(d, None, value, f"1/zeta_X({arg})", cutoff, tail)
 
 
 def _check_hyper_args(X: XModel, d: int) -> None:
@@ -540,66 +558,23 @@ def stable_limit(
         raise InputError("stable limits apply to multiplicity-graded series")
     Z = zeta_series(X, Y.order, spec)
     E = Y * Z.inverse()
-    res = _eval_converging(E, X, spec, cutoff)
-    value = res.value
+    ring = _ring(X, spec)
+    value, tail = ring.evaluate_at_M(E, cutoff)
     if normalization == "M":
-        value = value * _stable_sym_class(X, spec, cutoff)
-        value = _truncate_value(value, X, spec, cutoff)
+        value = ring.truncate(value * _stable_sym_class(X, spec, ring, cutoff), cutoff)
     label = "by M^j" if normalization == "M" else "by Sym^j"
-    return LimitReport(value, cutoff, res.tail, label, expression)
+    return LimitReport(value, cutoff, tail, label, expression)
 
 
-def _eval_converging(E: TruncSeries, X: XModel, spec: Specialization | None, cutoff: int) -> _Eval:
-    """Evaluate E at t = M^-1 = L^-dim, verifying decay over a tail window."""
-    d = X.dim
-    res = _eval_series(E, X, spec, max(d, 1), cutoff, require_margin=False)
-    window = range(max(1, E.order - max(3, E.order // 4) + 1), E.order + 1)
-    target = (spec or X.natural_spec()).target
-    for n in window:
-        c = E.coeffs[n]
-        if target == MOTIVIC:
-            if isinstance(c, int):
-                dim_c = 0 if c else NEG_INF
-            elif isinstance(c, LaurentL):
-                dim_c = c.dimension()
-            else:
-                dim_c = c.dimension(d)
-            if dim_c - d * n >= -cutoff:
-                raise DivergenceError(
-                    f"E(M^-1) does not visibly converge: term {n} has dimension {dim_c - d * n}"
-                )
-        elif target == COUNT:
-            q = _count_q(X, spec)
-            if abs(Fraction(c)) / Fraction(q) ** (d * n) >= Fraction(1, q**cutoff):
-                raise DivergenceError(f"E(q^-d) does not visibly converge at term {n}")
-        elif target == HODGE:
-            if isinstance(c, UVPoly) and c.weight() - 2 * d * n >= -2 * cutoff:
-                raise DivergenceError(f"E((uv)^-d) does not visibly converge at term {n}")
-    return res
-
-
-def _stable_sym_class(X: XModel, spec: Specialization | None, cutoff: int):
-    """lim [Sym^n X]/M^n for the built-in rational models."""
-    target = (spec or X.natural_spec()).target
+def _stable_sym_class(X: XModel, spec: Specialization | None, ring: _Ring, cutoff: int):
+    """lim [Sym^n X]/M^n = prod_{i=1..dim} 1/(1 - L^-i) for the built-in rational models."""
     if X.kind == "affine" or (X.kind == "counts" and X.params[1] is None):
         return X.ring_one(spec)
-    if X.kind in ("projline", "projspace"):
-        top = 1 if X.kind == "projline" else X.params[0]
-        if target == COUNT:
-            q = Fraction(_count_q(X, spec))
-            out = Fraction(1)
-            for i in range(1, top + 1):
-                out *= 1 / (1 - q**-i)
-            return out
-        if target == MOTIVIC:
-            out = MotivicClass.one()
-            for i in range(1, top + 1):
-                geom = MotivicClass.from_laurent(
-                    LaurentL.of({-i * k: 1 for k in range(cutoff // i + 1)})
-                )
-                out = out * geom
-            kept, _ = out.truncate_below_dim(X.dim, -cutoff)
-            return kept
+    if X.kind in ("projline", "projspace") and ring.stable_sym:
+        out = 1
+        for i in range(1, X.dim + 1):
+            out = out * (1 + ring.geometric(i, cutoff))
+        return ring.truncate(out, cutoff)
     raise InputError(
         f"the M-power normalization needs the stable symmetric-power class, "
         f"which is not available for the {X.kind} model; use Sym"
@@ -611,8 +586,11 @@ def distinct_nu_limit(
 ) -> LimitReport:
     """lim_j [w_{1^j nu}]/[Sym^(j+sum nu) X] for nu with distinct parts all > 1:
 
-    (w_nu / zeta_X(2d)) * L^(-d sum nu) / (1 + L^-d)^|nu|,
-    cross-checked against the K_(<2)nu recursion.
+    (w_nu / zeta_X(2d)) * L^(-d sum nu) / (1 + L^-d)^|nu|.
+
+    Computed from this closed form.  Its agreement with the K_(<2)nu
+    recursion is held by the tier-1 test
+    ``tests/test_genfun.py::TestSecondRoutes::test_distinct_nu_closed_form_matches_recursion``.
     """
     nu = int_partition(nu)
     if any(p < 2 for p in nu):
@@ -628,15 +606,10 @@ def distinct_nu_limit(
     denom = TruncSeries.one(order)
     for _ in range(len(nu)):
         denom = denom * one_plus_t
-    E_closed = Z.compose_power(2).inverse() * denom.inverse()
-    E_closed = E_closed.scale(w_of(X, (1,) * len(nu), spec))
-    E_rec = k_lt_a_nu(X, nu, 2, order, spec) * Z.inverse()
-    if E_closed != E_rec:
-        raise InternalCheckError(
-            "closed form for K_(<2)nu with distinct nu disagrees with the recursion"
-        )
-    res = _eval_converging(E_closed, X, spec, inner_cutoff)
-    value = res.value * _L_power_value(X, spec, -shift)
-    value = _truncate_value(value, X, spec, cutoff)
+    E = Z.compose_power(2).inverse() * denom.inverse()
+    E = E.scale(w_of(X, (1,) * len(nu), spec))
+    ring = _ring(X, spec)
+    value, tail = ring.evaluate_at_M(E, inner_cutoff)
+    value = ring.truncate(value * ring.L(-shift), cutoff)
     expr = f"(w_nu/zeta_X({2 * d})) * L^-{shift} / (1+L^-{d})^{len(nu)}"
-    return LimitReport(value, cutoff, res.tail, "by Sym^(j+sum nu)", expr)
+    return LimitReport(value, cutoff, tail, "by Sym^(j+sum nu)", expr)

@@ -354,27 +354,19 @@ class XModel:
             raise InputError("a Hodge-Deligne model supports hodge-deligne or euler targets")
         # Laurent-backed kinds
         lau = self._sym_laurent(n)
-        if t == MOTIVIC:
-            return lau
-        if t == COUNT:
-            if spec.q is None:
-                raise InputError("count specialization of an L-model needs an explicit q")
-            return lau.substitute(spec.q)
-        if t == EULER:
-            return lau.substitute(1)
-        if t == HODGE:
-            return lau.substitute(UV)
-        raise InputError(f"unsupported target {t!r}")
+        image = self.L_image(spec)
+        return lau if image is None else lau.substitute(image)
 
     def L_image(self, spec: Specialization | None = None):
+        """The image of L in the target ring; None keeps LaurentL coefficients."""
         spec = spec or self.natural_spec()
         t = spec.target
         if t == MOTIVIC:
-            return None  # keep LaurentL coefficients as they are
+            return None
         if t == COUNT:
             q = spec.q if spec.q is not None else (self.params[0] if self.kind == "counts" else None)
             if q is None:
-                raise InputError("count specialization needs q")
+                raise InputError(f"count specialization of the {self.kind} model needs an explicit q")
             return q
         if t == EULER:
             return 1
@@ -455,15 +447,6 @@ def _hd_sym(model: XModel, n: int) -> UVPoly:
             acc = acc + e.adams(r) * syms[k - r]
         syms.append(acc.div_exact(k))
     return syms[n]
-
-
-def sym_class(X: XModel, n: int, spec: Specialization | None = None):
-    """[Sym^n X] under the given specialization (module-level convenience)."""
-    return X.sym(n, spec)
-
-
-def specialize_class(c: MotivicClass, X: XModel, spec: Specialization | None = None):
-    return X.specialize(c, spec)
 
 
 def zeta_coeffs(X: XModel, N: int, spec: Specialization | None = None) -> TruncSeries:

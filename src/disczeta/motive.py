@@ -137,9 +137,6 @@ class LaurentL:
         """Max L-exponent; -inf for zero."""
         return max((e for e, _ in self.c), default=NEG_INF)
 
-    def min_exponent(self) -> float:
-        return min((e for e, _ in self.c), default=NEG_INF)
-
     def substitute(self, value):
         """Evaluate at L = value in any commutative ring (e.g. a Fraction q)."""
         total = 0
@@ -285,15 +282,6 @@ class MotivicClass:
     def is_pure_laurent(self) -> bool:
         return all(m == () for m, _ in self.terms)
 
-    def as_laurent(self) -> LaurentL:
-        if not self.terms:
-            return LaurentL(())
-        if not self.is_pure_laurent():
-            raise SymbolicEvaluationError(
-                "class still contains symmetric-power generators; specialize via an X-model first"
-            )
-        return self.terms[0][1]
-
     def substitute_syms(self, sym_value, l_value=None):
         """Map S_i -> sym_value(i) and (optionally) L -> l_value, in any ring."""
         total = None
@@ -352,11 +340,6 @@ def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
     for i, e in m2:
         acc[i] = acc.get(i, 0) + e
     return tuple(sorted(acc.items()))
-
-
-def dimension(c: MotivicClass, d: int) -> float:
-    """Dimension of a class under ambient dimension d (-inf sentinel for zero)."""
-    return c.dimension(d)
 
 
 @dataclass(frozen=True)
@@ -504,19 +487,6 @@ class TruncSeries:
 
     def __str__(self) -> str:
         return json.dumps(self.to_json())
-
-
-def series_mul(f: TruncSeries, g: TruncSeries) -> TruncSeries:
-    """Cauchy product modulo t^(N+1); orders and gradings must match."""
-    return f * g
-
-
-def series_inverse(f: TruncSeries) -> TruncSeries:
-    return f.inverse()
-
-
-def compose_power(f: TruncSeries, a: int) -> TruncSeries:
-    return f.compose_power(a)
 
 
 def geometric_series(ratio, order: int, grading: str = GRADING_MULT) -> TruncSeries:

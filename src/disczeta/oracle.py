@@ -544,18 +544,6 @@ def integer_power_density(a: int, b: int, r: int, bound: int, guard: int = MAX_G
     return Fraction(sum(marked), bound)
 
 
-def prime_zeta(s: int, prime_bound: int = 10**6) -> tuple[Fraction, Fraction]:
-    """(truncated sum over primes of p^-s, tail bound sum_{n>bound} n^-s)."""
-    if s < 2:
-        raise InputError("prime_zeta needs s >= 2")
-    total = Fraction(0)
-    for p in _primes_up_to(prime_bound):
-        total += Fraction(1, p**s)
-    # sum_{n > B} n^-s <= integral from B of x^-s dx = B^(1-s)/(s-1)
-    tail = Fraction(1, (s - 1) * prime_bound ** (s - 1))
-    return total, tail
-
-
 def zeta_value(s: int, terms: int = 10**4) -> tuple[Fraction, Fraction]:
     """(truncated sum of n^-s, tail bound)."""
     if s < 2:

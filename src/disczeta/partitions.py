@@ -80,10 +80,6 @@ class Part:
             return self.coeffs[0][1]
         return None
 
-    def dominates(self, other: "Part") -> bool:
-        """Componentwise >=."""
-        return all(self.coeff(g) >= c for g, c in other.coeffs)
-
     def __sub__(self, other: "Part") -> "Part":
         acc = dict(self.coeffs)
         for g, c in other.coeffs:
@@ -140,14 +136,6 @@ class GenPartition:
     def __lt__(self, other: "GenPartition") -> bool:
         # arbitrary but deterministic total order, used only for stable output
         return tuple(p.coeffs for p in self.parts) < tuple(p.coeffs for p in other.parts)
-
-    def concat(self, other: "GenPartition") -> "GenPartition":
-        return GenPartition.of(self.parts + other.parts)
-
-    def remove_one(self, part: Part) -> "GenPartition":
-        ps = list(self.parts)
-        ps.remove(part)
-        return GenPartition.of(ps)
 
     def as_integers(self) -> tuple[int, ...] | None:
         """The underlying integer partition (ascending) if all parts are integers."""

@@ -1,8 +1,8 @@
 """The acceptance suite: every check the build must pass, by name.
 
 Each check returns a dict {name, ok, detail}; ``run_suite`` collects them.
-The CLI ``verify`` subcommand and the pytest acceptance module both run
-these, so there is a single source of truth for what "passing" means.
+The CLI ``verify`` subcommand and the tier-1 module ``tests/test_verify.py``
+both run these, so there is a single source of truth for what "passing" means.
 """
 
 from __future__ import annotations
@@ -117,12 +117,8 @@ def check_hyper_density_p1() -> dict:
         if got != expect0:
             deviations.append((j, got))
     if deviations:
-        worst = max(abs(g - expect0) for _, g in deviations)
-        ok = worst < Fraction(1, 100)
         return _result(
-            "hyper-density-p1",
-            ok,
-            f"smooth fraction deviates from 3/8 at {deviations[:3]} (max {worst})",
+            "hyper-density-p1", False, f"smooth fraction deviates from 3/8 at {deviations[:3]}"
         )
     expect1 = Fraction(q * q - 1, q**3)
     got1 = O.count_hyper_s(q, 12, 1)

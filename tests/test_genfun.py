@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from disczeta import genfun as G
 from disczeta import partitions as pt
 from disczeta.errors import DivergenceError, InputError, InternalCheckError
-from disczeta.models import COUNT, Specialization, XModel
+from disczeta.models import COUNT, HODGE, MOTIVIC, Specialization, XModel
 from disczeta.motive import GRADING_MULT, LaurentL, MotivicClass, TruncSeries
 from disczeta.partitions import GenPartition
 
@@ -21,6 +21,21 @@ Q3 = XModel.point_counts(3)
 
 def gp(*values):
     return GenPartition.integers(values)
+
+
+def w_class_from_chains(lam: GenPartition) -> MotivicClass:
+    """Independent route to [w_lambda]: the signed sum over <<-chains."""
+    acc = MotivicClass.zero()
+    for chain in pt.ll_chains(lam):
+        sign = -1 if (len(chain) - 1) % 2 else 1
+        term = MotivicClass.sym_product(pt.multiplicity_profile(chain[-1]))
+        acc = acc + sign * term
+    return acc
+
+
+def star_profile(s: int) -> GenPartition:
+    """s points with one shared free label: the lambda of zinv_{*^s}."""
+    return GenPartition.of([pt.Part.gen("star")] * s)
 
 
 class TestWClasses:
@@ -37,7 +52,7 @@ class TestWClasses:
     @settings(max_examples=40, deadline=None)
     def test_matches_chain_formula(self, values):
         lam = gp(*values)
-        assert G.w_class(lam) == G.w_class_from_chains(lam)
+        assert G.w_class(lam) == w_class_from_chains(lam)
 
     def test_wbar_formalization(self):
         lam = GenPartition.of([pt.Part.gen("a"), pt.Part.gen("a"), pt.Part.gen("b")])
@@ -238,7 +253,7 @@ class TestZinv:
         n = 6
         total = G.zinv_lambda(SYM, GenPartition.empty(), n)
         for s in range(1, n + 1):
-            total = total + G.zinv_lambda(SYM, G._star_profile(s), n)
+            total = total + G.zinv_lambda(SYM, star_profile(s), n)
         assert total == TruncSeries.one(n, G.GRADING_POINTS)
 
 
@@ -386,3 +401,38 @@ class TestJksIdentity:
                 t2 = G.wbar_class(GenPartition.of([x] * j + [y] * r))
                 t3 = G.wbar_class(GenPartition.of([x] * (j - a) + [ax] + [y] * r))
                 assert lhs == t1 - t2 + t3
+
+
+# the targets in which a series can be evaluated at t = L^-m
+EVALUABLE_SPECS = [Specialization(MOTIVIC), Specialization(COUNT, 3), Specialization(HODGE)]
+
+
+class TestSecondRoutes:
+    """Second routes to the series that hyper_density and distinct_nu_limit
+    evaluate; the production calls compute one route each."""
+
+    @pytest.mark.parametrize("spec", [Specialization(COUNT, 2)] + EVALUABLE_SPECS, ids=str)
+    @pytest.mark.parametrize("X", [A1, P1, XModel.proj_space(2)], ids=XModel.label)
+    def test_zinv_star_bridge(self, X, spec):
+        # Z^[s](t) Z(t)^-1 = zinv_{*^s}(t), the point-graded series read by multiplicity
+        n = 7
+        Zinv = G.zeta_series(X, n, spec).inverse()
+        for s in (0, 1, 2):
+            zinv = G.zinv_lambda(X, star_profile(s), n, spec)
+            assert G.zeta_s_series(X, s, n, spec) * Zinv == zinv.regraded(GRADING_MULT)
+
+    @pytest.mark.parametrize("spec", EVALUABLE_SPECS, ids=str)
+    @pytest.mark.parametrize("X", [A1, P1], ids=XModel.label)
+    def test_distinct_nu_closed_form_matches_recursion(self, X, spec):
+        # w_nu Z(t^2)^-1 (1+t)^-|nu| = K_(<2)nu(t) Z(t)^-1 for distinct nu
+        order = 16
+        Z = G.zeta_series(X, order, spec)
+        one_plus_t = TruncSeries.from_coeffs([1, 1] + [0] * (order - 1))
+        for nu in [(2,), (3,), (2, 3)]:
+            denom = TruncSeries.one(order)
+            for _ in nu:
+                denom = denom * one_plus_t
+            closed = (Z.compose_power(2).inverse() * denom.inverse()).scale(
+                G.w_of(X, (1,) * len(nu), spec)
+            )
+            assert closed == G.k_lt_a_nu(X, nu, 2, order, spec) * Z.inverse()
