@@ -30,8 +30,8 @@ from . import genfun as G
 from . import oracle as O
 from . import verify as V
 from .errors import DisczetaError, GuardExceeded, InputError, InternalCheckError
-from .models import Specialization, XModel, parse_model
-from .motive import TruncSeries, render_coefficient
+from .models import Specialization, parse_model
+from .motive import TruncSeries
 from .partitions import GenPartition, int_partition
 
 
@@ -42,7 +42,7 @@ def _render(value) -> str:
         return f"{value.numerator}/{value.denominator} = {float(value):.6g}"
     if isinstance(value, float):
         return f"{value:.6g}"
-    return render_coefficient(value)
+    return str(value)
 
 
 def _json_value(value):
@@ -81,18 +81,12 @@ def _emit(args, command: str, params: dict, result: dict, rows: list[tuple] | No
 
 
 def _series_rows(series: TruncSeries) -> list[tuple]:
-    return [(f"t^{n}", render_coefficient(c)) for n, c in enumerate(series.coeffs)]
-
-
-def _resolve_spec(args, X: XModel) -> Specialization | None:
-    if getattr(args, "spec", None):
-        return Specialization.parse(args.spec)
-    return None
+    return [(f"t^{n}", str(c)) for n, c in enumerate(series.coeffs)]
 
 
 def cmd_series(args) -> int:
     X = parse_model(args.X)
-    spec = _resolve_spec(args, X)
+    spec = Specialization.parse(args.spec) if args.spec else None
     n = args.trunc
     params = {
         "kind": args.kind,
@@ -134,7 +128,7 @@ def cmd_series(args) -> int:
 
 def cmd_limit(args) -> int:
     X = parse_model(args.X)
-    spec = _resolve_spec(args, X)
+    spec = Specialization.parse(args.spec) if args.spec else None
     cutoff = args.cutoff
     params = {
         "of": args.of,
@@ -182,7 +176,7 @@ def cmd_limit(args) -> int:
 
 def cmd_hyper(args) -> int:
     X = parse_model(args.X)
-    spec = _resolve_spec(args, X)
+    spec = Specialization.parse(args.spec) if args.spec else None
     params = {
         "X": X.label(),
         "d": args.d,
@@ -306,6 +300,10 @@ def cmd_oracle(args) -> int:
         result = work()
         if cache:
             _cache_store(cache, result)
+    else:  # JSON object keys are strings; a sweep is keyed by the integer j
+        for key in ("counts", "fractions"):
+            if key in result:
+                result[key] = {int(j): v for j, v in result[key].items()}
     result["elapsed_s"] = round(time.monotonic() - start, 3)
 
     rows = None
@@ -337,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, cutoff_default=10):
+    def add_common(p):
         p.add_argument("--X", default="symbolic", help="X-model shorthand: A^d, P1, Pn, pt, counts:q=.., euler:c, hd:poly, symbolic[:d]")
         p.add_argument("--spec", default=None, help="specialization target: motivic-L, count:q=.., euler, hodge-deligne")
         p.add_argument("--json", action="store_true", help="emit JSON")

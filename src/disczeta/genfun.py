@@ -48,6 +48,7 @@ from .motive import (
     NEG_INF,
     MotivicClass,
     TruncSeries,
+    dim_grade,
     eval_at_L_power,
 )
 from .partitions import GenPartition, int_partition
@@ -85,9 +86,7 @@ def _w_profile(profile: tuple[int, ...]) -> MotivicClass:
         return MotivicClass.one()
     if all(m == 1 for m in profile):
         k = len(profile)
-        acc = MotivicClass.sym(1)
-        for _ in range(k - 1):
-            acc = acc * MotivicClass.sym(1)
+        acc = MotivicClass.sym(1, k)
         for j in range(1, k):
             acc = acc - _stirling2(k, j) * _w_profile((1,) * j)
         return acc
@@ -313,12 +312,13 @@ class _Ring:
     """A target ring for evaluating series at t = L^-m.
 
     A subclass fixes the image of L and what truncating at a codimension
-    cutoff means there; ``_ring`` picks the one for a specialization.
+    cutoff means there; ``_ring`` picks the one for a specialization.  The
+    graded rings (values of class ``poly``) keep the monomials whose
+    ``grade`` is at least -scale * cutoff.
     """
 
     symbol = "L"
-    # whether the stable class lim [Sym^n X]/M^n of P^n is computed here
-    stable_sym = True
+    scale = 1
 
     def __init__(self, dim: int, L_image):
         self.dim = dim
@@ -355,25 +355,35 @@ class _Ring:
         value, _ = self._evaluate(TruncSeries.from_coeffs([0] + [1] * cutoff), m, cutoff)
         return value
 
+    def _evaluate(self, f, m, cutoff):
+        total = self.poly.zero()
+        dropped = NEG_INF
+        for n, c in enumerate(f.coeffs):
+            term, drop = (c * self.L(-m * n)).truncated(self.grade, -self.scale * cutoff)
+            dropped = max(dropped, drop)
+            total = total + term
+        return total, dropped
+
+    def _visible(self, c, shift, cutoff):
+        """Whether c * L^-shift reaches codimension cutoff."""
+        return self.poly.coerce(c).degree(self.grade) >= self.scale * (shift - cutoff)
+
     def truncate(self, value, cutoff: int):
-        return value
+        return value.truncated(self.grade, -self.scale * cutoff)[0]
 
 
 class _MotivicRing(_Ring):
+    poly = MotivicClass
+
+    def __init__(self, dim: int, L_image):
+        super().__init__(dim, L_image)
+        self.grade = dim_grade(dim)
+
     def L(self, exp: int):
         return MotivicClass.lefschetz(exp)
 
     def _evaluate(self, f, m, cutoff):
-        res = eval_at_L_power(f, m, self.dim, cutoff, require_margin=False)
-        return res.value, res.discarded_dim
-
-    def _visible(self, c, shift, cutoff):
-        # the product coerces int and LaurentL coefficients to MotivicClass
-        return (MotivicClass.one() * c).dimension(self.dim) - shift >= -cutoff
-
-    def truncate(self, value, cutoff):
-        kept, _ = value.truncate_below_dim(self.dim, -cutoff)
-        return kept
+        return eval_at_L_power(f, m, self.dim, cutoff, require_margin=False)
 
 
 class _CountRing(_Ring):
@@ -400,28 +410,17 @@ class _CountRing(_Ring):
     def geometric(self, m, cutoff):
         return self.L(-m) / (1 - self.L(-m))
 
+    def truncate(self, value, cutoff):
+        return value
+
 
 class _HodgeRing(_Ring):
-    """L -> uv; codimension c is weight -2c."""
+    """L -> uv; codimension c is weight p + q = -2c."""
 
     symbol = "(uv)"
-    stable_sym = False
-
-    def _evaluate(self, f, m, cutoff):
-        total = UVPoly.from_int(0)
-        dropped = NEG_INF
-        for n, c in enumerate(f.coeffs):
-            term, drop = (c * self.L(-m * n)).truncate_below_weight(-2 * cutoff)
-            dropped = max(dropped, drop)
-            total = total + term
-        return total, dropped
-
-    def _visible(self, c, shift, cutoff):
-        return isinstance(c, UVPoly) and c.weight() - 2 * shift >= -2 * cutoff
-
-    def truncate(self, value, cutoff):
-        kept, _ = value.truncate_below_weight(-2 * cutoff)
-        return kept
+    poly = UVPoly
+    scale = 2
+    grade = staticmethod(sum)
 
 
 _RINGS = {MOTIVIC: _MotivicRing, COUNT: _CountRing, HODGE: _HodgeRing}
@@ -463,9 +462,7 @@ def hyper_density(
     through the point-graded inverse series zinv_{*^s}, is held by the tier-1
     test ``tests/test_genfun.py::TestSecondRoutes::test_zinv_star_bridge``.
     """
-    _check_hyper_args(X, d)
-    if s < 0:
-        raise InputError("s must be >= 0")
+    _check_hyper_args(X, d, s)
     # term k has dimension <= -k, so order cutoff+1 already covers the cutoff
     order = cutoff + 1
     Z = zeta_series(X, order, spec)
@@ -481,9 +478,7 @@ def hyper_ordered_density(
     """Limiting density with a choice of s ordered singular points:
     [X^s - diagonal] / zeta_X(d+1) * (L^-(d+1) / (1 - L^-(d+1)))^s.
     """
-    _check_hyper_args(X, d)
-    if s < 0:
-        raise InputError("s must be >= 0")
+    _check_hyper_args(X, d, s)
     m = d + 1
     inner = cutoff + s * d + 2
     w_img = w_of(X, (1,) * s, spec)
@@ -512,11 +507,13 @@ def multi_point_density(
     return HypersurfaceDensity(d, None, value, f"1/zeta_X({arg})", cutoff, tail)
 
 
-def _check_hyper_args(X: XModel, d: int) -> None:
+def _check_hyper_args(X: XModel, d: int, s: int = 0) -> None:
     if d < 1:
         raise InputError("hypersurface densities need d >= 1")
     if X.dim != d:
         raise InputError(f"model dimension {X.dim} does not match d={d}")
+    if s < 0:
+        raise InputError("s must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +567,7 @@ def _stable_sym_class(X: XModel, spec: Specialization | None, ring: _Ring, cutof
     """lim [Sym^n X]/M^n = prod_{i=1..dim} 1/(1 - L^-i) for the built-in rational models."""
     if X.kind == "affine" or (X.kind == "counts" and X.params[1] is None):
         return X.ring_one(spec)
-    if X.kind in ("projline", "projspace") and ring.stable_sym:
+    if X.kind in ("projline", "projspace"):
         out = 1
         for i in range(1, X.dim + 1):
             out = out * (1 + ring.geometric(i, cutoff))

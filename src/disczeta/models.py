@@ -1,4 +1,4 @@
-"""Concrete X-models and specializations.
+"""Concrete X-models, specializations and Hodge-Deligne values.
 
 An :class:`XModel` is the data needed to turn symbolic classes into concrete
 values: a dimension plus one of several descriptions (affine space, the
@@ -6,20 +6,20 @@ projective line or space, finite-field point counts, an Euler characteristic,
 a Hodge-Deligne polynomial, an explicit symmetric-power table, or the free
 symbolic model in which [Sym^n X] stays the generator S_n).
 
-A :class:`Specialization` names the target ring: motivic-L (Laurent in L),
-count(q) (integers/rationals), euler (L -> 1) or hodge-deligne (L -> uv).
-Each is a ring morphism on the classes we represent.
+A :class:`Specialization` names the target ring: motivic-L (``LaurentL``),
+count(q) (integers/rationals), euler (L -> 1) or hodge-deligne (L -> uv,
+values in :class:`UVPoly`, the ``motive.SparsePoly`` core over exponents
+(p, q)).  Each is a ring morphism on the classes we represent.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InputError, InternalCheckError, ModelDataError
-from .motive import LaurentL, MotivicClass, TruncSeries
+from .motive import LaurentL, MotivicClass, SparsePoly, TruncSeries
 
 MOTIVIC = "motivic-L"
 COUNT = "count"
@@ -27,123 +27,39 @@ EULER = "euler"
 HODGE = "hodge-deligne"
 
 
-@dataclass(frozen=True)
-class UVPoly:
-    """Laurent polynomial in the Hodge-Deligne variables u, v (integer coefficients)."""
+class UVPoly(SparsePoly):
+    """Laurent polynomial in the Hodge-Deligne variables u, v: keys (p, q) for u^p v^q."""
 
-    c: tuple[tuple[tuple[int, int], int], ...]  # sorted (((p, q), coeff), ...), no zeros
-
-    @staticmethod
-    def of(mapping: dict[tuple[int, int], int]) -> "UVPoly":
-        return UVPoly(tuple(sorted((m, v) for m, v in mapping.items() if v)))
+    __slots__ = ()
+    _unit = (0, 0)
 
     @staticmethod
     def term(coeff: int = 1, p: int = 0, q: int = 0) -> "UVPoly":
         return UVPoly.of({(p, q): coeff})
 
-    @staticmethod
-    def from_int(n: int) -> "UVPoly":
-        return UVPoly.of({(0, 0): n})
-
-    def _coerce(self, other) -> "UVPoly | None":
-        if isinstance(other, UVPoly):
-            return other
-        if isinstance(other, int):
-            return UVPoly.from_int(other)
-        return None
-
-    def __bool__(self):
-        return bool(self.c)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        acc = dict(self.c)
-        for m, v in o.c:
-            acc[m] = acc.get(m, 0) + v
-        return UVPoly.of(acc)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UVPoly(tuple((m, -v) for m, v in self.c))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        acc: dict[tuple[int, int], int] = {}
-        for (p1, q1), v1 in self.c:
-            for (p2, q2), v2 in o.c:
-                m = (p1 + p2, q1 + q2)
-                acc[m] = acc.get(m, 0) + v1 * v2
-        return UVPoly.of(acc)
+        return SparsePoly.__mul__(self, other)
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            if len(self.c) == 1 and abs(self.c[0][1]) == 1:
-                (p, q), v = self.c[0]
-                return UVPoly.term(v if n % 2 else 1, p * n, q * n)
-            raise InputError("negative powers only for unit monomials")
-        out = UVPoly.from_int(1)
-        base = self
-        for _ in range(n):
-            out = out * base
-        return out
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.c == o.c
-
-    def __hash__(self):
-        return hash(self.c)
-
     def adams(self, r: int) -> "UVPoly":
         """Substitute u -> u^r, v -> v^r."""
-        return UVPoly(tuple(sorted(((p * r, q * r), v) for (p, q), v in self.c)))
+        return UVPoly({(p * r, q * r): v for (p, q), v in self._d.items()})
 
     def at_one(self) -> int:
         """Evaluate at u = v = 1 (the Euler characteristic of an E-polynomial)."""
-        return sum(v for _, v in self.c)
-
-    def weight(self) -> float:
-        return max((p + q for (p, q), _ in self.c), default=float("-inf"))
-
-    def truncate_below_weight(self, min_w: int) -> tuple["UVPoly", float]:
-        kept = tuple(t for t in self.c if t[0][0] + t[0][1] >= min_w)
-        dropped = max((p + q for (p, q), _ in self.c if p + q < min_w), default=float("-inf"))
-        return UVPoly(kept), dropped
+        return sum(self._d.values())
 
     def div_exact(self, n: int) -> "UVPoly":
-        out = {}
-        for m, v in self.c:
-            if v % n:
-                raise InternalCheckError(f"inexact division of E-polynomial by {n}")
-            out[m] = v // n
-        return UVPoly.of(out)
+        if any(v % n for v in self._d.values()):
+            raise InternalCheckError(f"inexact division of E-polynomial by {n}")
+        return UVPoly({k: v // n for k, v in self._d.items()})
 
     def __str__(self):
-        if not self.c:
+        if not self._d:
             return "0"
         chunks = []
-        for (p, q), v in sorted(self.c):
+        for (p, q), v in self.terms:
             bits = []
             if abs(v) != 1 or (p == 0 and q == 0):
                 bits.append(str(abs(v)))
@@ -282,7 +198,7 @@ class XModel:
     def hodge_deligne(e, dim: int | None = None) -> "XModel":
         poly = UVPoly.parse(e) if isinstance(e, str) else e
         if dim is None:
-            w = poly.weight()
+            w = poly.degree(sum)  # the weight p + q of u^p v^q
             dim = 0 if w == float("-inf") else (int(w) + 1) // 2
         return XModel("hd", dim, (poly,))
 
@@ -408,7 +324,7 @@ def _proj_space_sym(m: int, n: int) -> LaurentL:
     for i in range(m + 1):
         g = TruncSeries.from_coeffs([LaurentL.term(1, i * k) for k in range(n + 1)])
         series = series * g
-    return series.coeffs[n] if isinstance(series.coeffs[n], LaurentL) else LaurentL.from_int(series.coeffs[n])
+    return LaurentL.coerce(series.coeffs[n])
 
 
 def _model_counts(model: XModel, r: int) -> int:

@@ -2,17 +2,22 @@
 
 Three layers:
 
-* ``LaurentL`` -- Laurent polynomials in the Lefschetz symbol L with
-  arbitrary-precision integer coefficients.
-* ``MotivicClass`` -- polynomials in the symmetric-power generators
+* ``SparsePoly`` -- the one sparse polynomial: a map from exponent tuples to
+  nonzero ints, with ring arithmetic over plain dicts and one grading
+  routine (``degree`` and ``truncated``, given a grade function on keys).
+* ``LaurentL`` and ``MotivicClass`` -- its keys (k_0, k_1, ..., k_r), k_r > 0,
+  stand for L^k_0 S_1^k_1 ... S_r^k_r: Laurent polynomials in the Lefschetz
+  symbol L, and polynomials over them in the symmetric-power generators
   S_1, S_2, ... (treated as algebraically independent; S_0 = 1, and the
-  class of X itself is S_1) with LaurentL coefficients.
+  class of X itself is S_1).  A LaurentL key is also a MotivicClass key, so
+  coercion re-wraps the terms, and equal values hash and print alike.
+  ``models.UVPoly`` is the same core over Hodge-Deligne exponents (p, q).
 * ``TruncSeries`` -- power series in t truncated at a fixed order, over any
   coefficient ring that supports +, -, * and comparison with int.
 
 Under a declared ambient dimension d, the monomial prod S_i^{e_i} * L^k has
-dimension d * sum(i*e_i) + k; evaluation at t = L^-m filters by this
-dimensional grading.
+dimension d * sum(i*e_i) + k (``dim_grade``); evaluation at t = L^-m filters
+by this dimensional grading.
 
 Everything here is an immutable value; functions are pure and safe to share
 between threads.
@@ -24,6 +29,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
+from operator import add
+from typing import NamedTuple
 
 from .errors import DivergenceError, InputError, InternalCheckError, SymbolicEvaluationError
 
@@ -35,87 +42,137 @@ NEG_INF = float("-inf")
 GRADING_MULT = "multiplicity"
 GRADING_POINTS = "points"
 
-Monomial = tuple[tuple[int, int], ...]  # sorted ((sym_index, exponent), ...), exponents > 0
+
+def _key_sum(a: tuple, b: tuple) -> tuple:
+    """Exponent-wise sum of two keys; the shorter one is zero past its end."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(a) == len(b):
+        return tuple(map(add, a, b))
+    return (*map(add, a, b), *a[len(b):])
 
 
-def _is_scalar(x) -> bool:
-    return isinstance(x, Rational)
+def _combine(a: dict, b: dict, sign: int) -> dict:
+    """The terms of a + sign * b, without zero coefficients."""
+    if sign == 1 and len(b) > len(a):
+        a, b = b, a
+    acc = a.copy()
+    for k, v in b.items():
+        v = acc.get(k, 0) + sign * v
+        if v:
+            acc[k] = v
+        else:
+            del acc[k]
+    return acc
 
 
-@dataclass(frozen=True)
-class LaurentL:
-    """Finitely supported integer combination of powers of L."""
+def _print_order(item) -> tuple:
+    """S-monomial ((i, e_i), ...) ascending, then the L-exponent descending."""
+    key = item[0]
+    return tuple((i, e) for i, e in enumerate(key) if i and e), -key[0]
 
-    c: tuple[tuple[int, int], ...]  # sorted ((exponent, coefficient), ...), no zeros
 
-    @staticmethod
-    def of(mapping: dict[int, int]) -> "LaurentL":
-        return LaurentL(tuple(sorted((e, v) for e, v in mapping.items() if v)))
+class SparsePoly:
+    """Integer combination of monomials, keyed by exponent tuples.
 
-    @staticmethod
-    def term(coeff: int = 1, exp: int = 0) -> "LaurentL":
-        return LaurentL.of({exp: coeff})
+    ``_d`` maps each key to its nonzero coefficient and is not changed once
+    the value is built.  ``_unit`` is the key of 1; keys of its length are
+    monomials in invertible variables only.  ``_accepts`` lists the other
+    classes whose keys name the same monomials, so their values coerce as
+    they are.  ``str`` renders keys as L- and S-monomials.  Subclasses bind
+    their own thin operators, which ``bench/tracer.py`` patches per class.
+    """
 
-    @staticmethod
-    def from_int(n: int) -> "LaurentL":
-        return LaurentL.of({0: n})
+    __slots__ = ("_d",)
+    _unit: tuple = (0,)
+    _accepts: tuple = ()
 
-    def items(self):
-        return self.c
+    def __init__(self, d: dict):
+        self._d = d
 
-    def __bool__(self) -> bool:
-        return bool(self.c)
+    @classmethod
+    def of(cls, mapping: dict):
+        """From {key: coefficient}; zero coefficients are dropped, keys kept as given."""
+        return cls({k: v for k, v in mapping.items() if v})
 
-    def _coerce(self, other) -> "LaurentL | None":
-        if isinstance(other, LaurentL):
-            return other
-        if isinstance(other, int):
-            return LaurentL.from_int(other)
+    @classmethod
+    def from_int(cls, n: int):
+        return cls({cls._unit: n} if n else {})
+
+    @classmethod
+    def one(cls):
+        return cls({cls._unit: 1})
+
+    @classmethod
+    def zero(cls):
+        return cls({})
+
+    @classmethod
+    def _dict_of(cls, value) -> dict | None:
+        if type(value) is cls or isinstance(value, cls._accepts):
+            return value._d
+        if isinstance(value, int):
+            return {cls._unit: value} if value else {}
         return None
 
+    @classmethod
+    def coerce(cls, value):
+        """``value`` (an int or a value with compatible keys) as a ``cls``; None otherwise."""
+        d = cls._dict_of(value)
+        return None if d is None else cls(d)
+
+    @property
+    def terms(self) -> tuple:
+        """The (key, coefficient) pairs in increasing key order."""
+        return tuple(sorted(self._d.items()))
+
+    def __bool__(self) -> bool:
+        return bool(self._d)
+
     def __add__(self, other):
-        o = self._coerce(other)
+        o = self._dict_of(other)
         if o is None:
             return NotImplemented
-        acc = dict(self.c)
-        for e, v in o.c:
-            acc[e] = acc.get(e, 0) + v
-        return LaurentL.of(acc)
+        return type(self)(_combine(self._d, o, 1))
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return LaurentL(tuple((e, -v) for e, v in self.c))
-
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = self._dict_of(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return type(self)(_combine(self._d, o, -1))
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = self._dict_of(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return type(self)(_combine(o, self._d, -1))
+
+    def __neg__(self):
+        return type(self)({k: -v for k, v in self._d.items()})
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = self._dict_of(other)
         if o is None:
             return NotImplemented
-        acc: dict[int, int] = {}
-        for e1, v1 in self.c:
-            for e2, v2 in o.c:
-                e = e1 + e2
-                acc[e] = acc.get(e, 0) + v1 * v2
-        return LaurentL.of(acc)
+        acc: dict = {}
+        for k1, v1 in self._d.items():
+            for k2, v2 in o.items():
+                k = _key_sum(k1, k2)
+                acc[k] = acc.get(k, 0) + v1 * v2
+        return type(self)({k: v for k, v in acc.items() if v})
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
-            raise InputError("LaurentL supports only nonnegative powers")
-        out = LaurentL.from_int(1)
+            if len(self._d) == 1:
+                [(k, v)] = self._d.items()
+                if v in (1, -1) and len(k) == len(self._unit):
+                    return type(self)({tuple(n * e for e in k): v ** -n})
+            raise InputError("negative powers only for unit monomials")
+        out = self.one()
         base = self
         while n:
             if n & 1:
@@ -125,64 +182,101 @@ class LaurentL:
         return out
 
     def __eq__(self, other) -> bool:
-        o = self._coerce(other)
+        o = self._dict_of(other)
         if o is None:
             return NotImplemented
-        return self.c == o.c
+        return self._d == o
 
     def __hash__(self):
-        return hash(self.c)
+        return hash(frozenset(self._d.items()))
 
-    def dimension(self) -> float:
-        """Max L-exponent; -inf for zero."""
-        return max((e for e, _ in self.c), default=NEG_INF)
+    def degree(self, grade) -> float:
+        """The largest grade(key) over the monomials; -inf for zero."""
+        return max(map(grade, self._d), default=NEG_INF)
+
+    def truncated(self, grade, floor) -> tuple:
+        """(the monomials with grade(key) >= floor, the largest grade among the rest)."""
+        kept = {}
+        dropped = NEG_INF
+        for k, v in self._d.items():
+            g = grade(k)
+            if g >= floor:
+                kept[k] = v
+            elif g > dropped:
+                dropped = g
+        return type(self)(kept), dropped
+
+    def __str__(self) -> str:
+        if not self._d:
+            return "0"
+        chunks = []
+        for key, v in sorted(self._d.items(), key=_print_order):
+            bits = [str(v)]
+            if key[0]:
+                bits.append(f"L^{key[0]}")
+            bits.extend(f"S_{i}" if e == 1 else f"S_{i}^{e}" for i, e in enumerate(key) if i and e)
+            chunks.append("*".join(bits))
+        out = chunks[0]
+        for chunk in chunks[1:]:
+            out += f" - {chunk[1:]}" if chunk.startswith("-") else f" + {chunk}"
+        return out
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._d!r})"
+
+
+def dim_grade(d: int):
+    """The dimension of the monomial with key (k_0, k_1, ...) when X has
+    dimension d: k_0 + d * sum(i * k_i)."""
+
+    def grade(key: tuple) -> int:
+        return key[0] + d * sum(i * e for i, e in enumerate(key))
+
+    return grade
+
+
+class LaurentL(SparsePoly):
+    """Finitely supported integer combination of powers of L: keys (k,) for L^k."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def of(mapping: dict[int, int]) -> "LaurentL":
+        return LaurentL({(e,): v for e, v in mapping.items() if v})
+
+    @staticmethod
+    def term(coeff: int = 1, exp: int = 0) -> "LaurentL":
+        return LaurentL.of({exp: coeff})
+
+    def __mul__(self, other):
+        return SparsePoly.__mul__(self, other)
+
+    __rmul__ = __mul__
 
     def substitute(self, value):
         """Evaluate at L = value in any commutative ring (e.g. a Fraction q)."""
         total = 0
-        for e, v in self.c:
+        for (e,), v in self._d.items():
             if e >= 0:
                 total = total + v * value**e
             elif isinstance(value, int):
                 total = total + Fraction(v, value ** (-e))
-            elif _is_scalar(value):
+            elif isinstance(value, Rational):
                 total = total + v / value ** (-e)
             else:
                 total = total + v * value**e  # ring must support negative powers
         return total
-
-    def truncate_below(self, min_exp: int) -> tuple["LaurentL", float]:
-        """Drop monomials with exponent < min_exp; also return max dropped exponent."""
-        kept = tuple((e, v) for e, v in self.c if e >= min_exp)
-        dropped = max((e for e, v in self.c if e < min_exp), default=NEG_INF)
-        return LaurentL(kept), dropped
-
-    def __str__(self) -> str:
-        if not self.c:
-            return "0"
-        chunks = []
-        for e, v in sorted(self.c, reverse=True):
-            body = str(v) if e == 0 else f"{v}*L^{e}"
-            if chunks:
-                chunks.append(f"+ {body}" if v >= 0 else f"- {body.replace(str(v), str(-v), 1)}")
-            else:
-                chunks.append(body)
-        return " ".join(chunks)
 
 
 L = LaurentL.term(1, 1)
 L_INV = LaurentL.term(1, -1)
 
 
-@dataclass(frozen=True)
-class MotivicClass:
-    """Integer-coefficient polynomial in S_1, S_2, ... with LaurentL coefficients."""
+class MotivicClass(SparsePoly):
+    """Integer polynomial in S_1, S_2, ... and L^(+-1): keys (k_0, k_1, ..., k_r)."""
 
-    terms: tuple[tuple[Monomial, LaurentL], ...]  # sorted by monomial, coefficients nonzero
-
-    @staticmethod
-    def of(mapping: dict[Monomial, LaurentL]) -> "MotivicClass":
-        return MotivicClass(tuple(sorted((m, c) for m, c in mapping.items() if c)))
+    __slots__ = ()
+    _accepts = (LaurentL,)
 
     @staticmethod
     def sym(i: int, exp: int = 1) -> "MotivicClass":
@@ -191,7 +285,7 @@ class MotivicClass:
             raise InputError("sym indices and exponents must be nonnegative")
         if i == 0 or exp == 0:
             return MotivicClass.one()
-        return MotivicClass(((((i, exp),), LaurentL.from_int(1)),))
+        return MotivicClass({(0,) * i + (exp,): 1})
 
     @staticmethod
     def sym_product(profile: tuple[int, ...]) -> "MotivicClass":
@@ -203,143 +297,44 @@ class MotivicClass:
 
     @staticmethod
     def from_laurent(c: LaurentL) -> "MotivicClass":
-        if not c:
-            return MotivicClass(())
-        return MotivicClass((((), c),))
-
-    @staticmethod
-    def one() -> "MotivicClass":
-        return MotivicClass.from_laurent(LaurentL.from_int(1))
-
-    @staticmethod
-    def zero() -> "MotivicClass":
-        return MotivicClass(())
+        return MotivicClass(c._d)
 
     @staticmethod
     def lefschetz(exp: int = 1) -> "MotivicClass":
-        return MotivicClass.from_laurent(LaurentL.term(1, exp))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def _coerce(self, other) -> "MotivicClass | None":
-        if isinstance(other, MotivicClass):
-            return other
-        if isinstance(other, int):
-            return MotivicClass.from_laurent(LaurentL.from_int(other))
-        if isinstance(other, LaurentL):
-            return MotivicClass.from_laurent(other)
-        return None
+        return MotivicClass({(exp,): 1})
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        acc = dict(self.terms)
-        for m, c in o.terms:
-            acc[m] = acc.get(m, LaurentL(())) + c
-        return MotivicClass.of(acc)
+        return SparsePoly.__add__(self, other)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return MotivicClass(tuple((m, -c) for m, c in self.terms))
-
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return SparsePoly.__sub__(self, other)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        return SparsePoly.__rsub__(self, other)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        acc: dict[Monomial, LaurentL] = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in o.terms:
-                m = _merge_monomials(m1, m2)
-                acc[m] = acc.get(m, LaurentL(())) + c1 * c2
-        return MotivicClass.of(acc)
+        return SparsePoly.__mul__(self, other)
 
     __rmul__ = __mul__
 
-    def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.terms == o.terms
-
-    def __hash__(self):
-        return hash(self.terms)
-
     def is_pure_laurent(self) -> bool:
-        return all(m == () for m, _ in self.terms)
+        return all(len(k) == 1 for k in self._d)
 
     def substitute_syms(self, sym_value, l_value=None):
         """Map S_i -> sym_value(i) and (optionally) L -> l_value, in any ring."""
-        total = None
-        for m, c in self.terms:
-            part = c if l_value is None else c.substitute(l_value)
-            for i, e in m:
+        coeffs: dict[tuple, dict] = {}
+        for k, v in self._d.items():
+            coeffs.setdefault(k[1:], {})[k[:1]] = v
+        total = 0
+        for syms, c in coeffs.items():
+            part = LaurentL(c) if l_value is None else LaurentL(c).substitute(l_value)
+            for i, e in enumerate(syms, start=1):
                 for _ in range(e):
                     part = part * sym_value(i)
-            total = part if total is None else total + part
-        if total is None:
-            return 0
+            total = total + part
         return total
-
-    def dimension(self, d: int) -> float:
-        """Max over monomials of d * sum(i * e_i) + L-exponent; -inf for zero."""
-        best = NEG_INF
-        for m, c in self.terms:
-            s = d * sum(i * e for i, e in m)
-            best = max(best, s + c.dimension())
-        return best
-
-    def truncate_below_dim(self, d: int, min_dim: int) -> tuple["MotivicClass", float]:
-        """Drop monomials of dimension < min_dim; also return max dropped dimension."""
-        kept: dict[Monomial, LaurentL] = {}
-        dropped = NEG_INF
-        for m, c in self.terms:
-            s = d * sum(i * e for i, e in m)
-            keep, drop = c.truncate_below(min_dim - s)
-            if keep:
-                kept[m] = keep
-            if drop != NEG_INF:
-                dropped = max(dropped, s + drop)
-        return MotivicClass.of(kept), dropped
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks = []
-        for m, c in self.terms:
-            sym_part = "*".join(f"S_{i}" if e == 1 else f"S_{i}^{e}" for i, e in m)
-            for e, v in sorted(c.items(), reverse=True):
-                bits = [str(v)]
-                if e:
-                    bits.append(f"L^{e}")
-                if sym_part:
-                    bits.append(sym_part)
-                chunks.append("*".join(bits))
-        out = chunks[0]
-        for chunk in chunks[1:]:
-            out += f" - {chunk[1:]}" if chunk.startswith("-") else f" + {chunk}"
-        return out
-
-
-def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
-    acc = dict(m1)
-    for i, e in m2:
-        acc[i] = acc.get(i, 0) + e
-    return tuple(sorted(acc.items()))
 
 
 @dataclass(frozen=True)
@@ -415,7 +410,7 @@ class TruncSeries:
         c0 = self.coeffs[0]
         if c0 == 1:
             inv0 = 1
-        elif _is_scalar(c0) and c0 != 0:
+        elif isinstance(c0, Rational) and c0 != 0:
             inv0 = Fraction(1, 1) / c0
         else:
             raise InputError(f"series constant term {c0!r} is not invertible")
@@ -482,7 +477,7 @@ class TruncSeries:
         return {
             "order": self.order,
             "grading": self.grading,
-            "coeffs": [render_coefficient(c) for c in self.coeffs],
+            "coeffs": [str(c) for c in self.coeffs],
         }
 
     def __str__(self) -> str:
@@ -497,25 +492,11 @@ def geometric_series(ratio, order: int, grading: str = GRADING_MULT) -> TruncSer
     return TruncSeries(tuple(coeffs), grading)
 
 
-def render_coefficient(c) -> str:
-    if isinstance(c, (LaurentL, MotivicClass)):
-        return str(c)
-    if isinstance(c, Fraction):
-        return f"{c.numerator}/{c.denominator}" if c.denominator != 1 else str(c.numerator)
-    return str(c)
-
-
-class EvalResult:
+class EvalResult(NamedTuple):
     """Value of a series at t = L^-m, plus the tail left out of the truncation."""
 
-    __slots__ = ("value", "discarded_dim")
-
-    def __init__(self, value, discarded_dim: float):
-        self.value = value
-        self.discarded_dim = discarded_dim
-
-    def __repr__(self):
-        return f"EvalResult({self.value}, discarded_dim={self.discarded_dim})"
+    value: MotivicClass
+    discarded_dim: float
 
 
 def eval_at_L_power(
@@ -530,22 +511,21 @@ def eval_at_L_power(
     """
     if require_margin and m <= d:
         raise DivergenceError(f"evaluation at L^-{m} diverges for dimension {d} (need m > d)")
+    grade = dim_grade(d)
     total = MotivicClass.zero()
     discarded = NEG_INF
     for n, c in enumerate(f.coeffs):
-        if isinstance(c, int):
-            c = MotivicClass.from_laurent(LaurentL.from_int(c))
-        elif isinstance(c, LaurentL):
-            c = MotivicClass.from_laurent(c)
-        if not isinstance(c, MotivicClass):
+        term = MotivicClass.coerce(c)
+        if term is None:
             raise SymbolicEvaluationError(f"cannot evaluate coefficient of type {type(c).__name__}")
-        if not c.is_pure_laurent():
+        if not term.is_pure_laurent():
             raise SymbolicEvaluationError(
                 "series coefficients contain symmetric-power generators; "
                 "specialize via an X-model before evaluating at a power of L"
             )
-        term = c * MotivicClass.lefschetz(-m * n) if m * n else c
-        term, drop = term.truncate_below_dim(d, -codim_cutoff)
+        if m * n:
+            term = term * MotivicClass.lefschetz(-m * n)
+        term, drop = term.truncated(grade, -codim_cutoff)
         discarded = max(discarded, drop)
         total = total + term
     return EvalResult(total, discarded)

@@ -430,24 +430,28 @@ def count_w_lambda(X: str, q: int, lam, guard: int = DEFAULT_GUARD) -> int:
     return count
 
 
+def _tally(values, s_max: int) -> list[int]:
+    """How many of ``values`` equal s, for each s <= s_max."""
+    if s_max < 0:
+        raise InputError("s must be >= 0")
+    out = [0] * (s_max + 1)
+    for s in values:
+        if s <= s_max:
+            out[s] += 1
+    return out
+
+
 def count_sym_s(q: int, j: int, s: int, guard: int = DEFAULT_GUARD) -> int:
     """Monic degree-j polynomials over F_q with exactly s geometric points of
     multiplicity >= 2."""
-    _check_guard(q**j, guard)
-    F = field(q)
-    return sum(1 for f in monic_polys(q, j) if multiple_point_count(F, f) == s)
+    return count_sym_s_table(q, j, s, guard)[s]
 
 
 def count_sym_s_table(q: int, j: int, s_max: int, guard: int = DEFAULT_GUARD) -> list[int]:
     """count_sym_s for all s <= s_max in one sweep."""
     _check_guard(q**j, guard)
     F = field(q)
-    out = [0] * (s_max + 1)
-    for f in monic_polys(q, j):
-        s = multiple_point_count(F, f)
-        if s <= s_max:
-            out[s] += 1
-    return out
+    return _tally((multiple_point_count(F, f) for f in monic_polys(q, j)), s_max)
 
 
 def _form_multiple_points(F: FiniteField, coeffs: tuple, j: int) -> int:
@@ -469,28 +473,16 @@ def count_hyper_s(q: int, j: int, s: int, guard: int = DEFAULT_GUARD) -> Fractio
     All q^(j+1) coefficient vectors form the denominator (matching
     [H^0] = L^(j+1)); only nonzero sections have a divisor.
     """
-    _check_guard(q ** (j + 1), guard)
-    F = field(q)
-    hits = 0
-    for coeffs in itertools.product(range(q), repeat=j + 1):
-        if not any(coeffs):
-            continue
-        if _form_multiple_points(F, coeffs, j) == s:
-            hits += 1
-    return Fraction(hits, q ** (j + 1))
+    return count_hyper_s_table(q, j, s, guard)[s]
 
 
 def count_hyper_s_table(q: int, j: int, s_max: int, guard: int = DEFAULT_GUARD) -> list[Fraction]:
+    """count_hyper_s for all s <= s_max in one sweep."""
     _check_guard(q ** (j + 1), guard)
     F = field(q)
-    out = [0] * (s_max + 1)
-    for coeffs in itertools.product(range(q), repeat=j + 1):
-        if not any(coeffs):
-            continue
-        s = _form_multiple_points(F, coeffs, j)
-        if s <= s_max:
-            out[s] += 1
-    return [Fraction(h, q ** (j + 1)) for h in out]
+    forms = itertools.product(range(q), repeat=j + 1)
+    hits = _tally((_form_multiple_points(F, c, j) for c in forms if any(c)), s_max)
+    return [Fraction(h, q ** (j + 1)) for h in hits]
 
 
 # ---------------------------------------------------------------------------

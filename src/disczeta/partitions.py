@@ -15,7 +15,6 @@ caches are only ever written idempotently, so concurrent use is safe.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 from dataclasses import dataclass

@@ -14,8 +14,8 @@ from . import genfun as G
 from . import models as Mo
 from . import oracle as O
 from . import partitions as pt
-from .models import COUNT, Specialization, UVPoly, XModel
-from .motive import GRADING_MULT, LaurentL, MotivicClass, TruncSeries
+from .models import COUNT, Specialization, XModel
+from .motive import GRADING_MULT, LaurentL, MotivicClass, dim_grade
 from .partitions import GenPartition
 
 SYM = XModel.symbolic()
@@ -110,18 +110,14 @@ def check_hyper_density_p1() -> dict:
     """Smooth fraction on P^1 at q=2 equals 3/8 exactly for 3 <= j <= 12, and
     the s=1 fraction lands within 1e-2 of zeta^[1](2)/zeta(2) by j=12."""
     q = 2
-    expect0 = Fraction(3, 8)
-    deviations = []
-    for j in range(3, 13):
-        got = O.count_hyper_s(q, j, 0)
-        if got != expect0:
-            deviations.append((j, got))
+    tables = {j: O.count_hyper_s_table(q, j, 1) for j in range(3, 13)}
+    deviations = [(j, t[0]) for j, t in tables.items() if t[0] != Fraction(3, 8)]
     if deviations:
         return _result(
             "hyper-density-p1", False, f"smooth fraction deviates from 3/8 at {deviations[:3]}"
         )
     expect1 = Fraction(q * q - 1, q**3)
-    got1 = O.count_hyper_s(q, 12, 1)
+    got1 = tables[12][1]
     ok1 = abs(got1 - expect1) < Fraction(1, 100)
     formula = G.hyper_density(XModel.proj_line(), 1, 1, 10, Specialization(COUNT, q)).value
     return _result(
@@ -223,7 +219,7 @@ def check_limit_cross_validation() -> dict:
     order = G.default_limit_order(cutoff + 2)
     sl = G.stable_limit(G.k_lt_a_nu(A1, (2,), 2, order), A1, "Sym", cutoff + 2)
     shifted = sl.value * MotivicClass.lefschetz(-2)
-    trimmed, _ = shifted.truncate_below_dim(1, -cutoff)
+    trimmed, _ = shifted.truncated(dim_grade(1), -cutoff)
     ok = trimmed == rep.value
     return _result("limit-cross-validation", ok, f"retained terms to codim {cutoff}")
 

@@ -8,7 +8,7 @@ from disczeta import genfun as G
 from disczeta import partitions as pt
 from disczeta.errors import DivergenceError, InputError, InternalCheckError
 from disczeta.models import COUNT, HODGE, MOTIVIC, Specialization, XModel
-from disczeta.motive import GRADING_MULT, LaurentL, MotivicClass, TruncSeries
+from disczeta.motive import GRADING_MULT, LaurentL, MotivicClass, TruncSeries, dim_grade
 from disczeta.partitions import GenPartition
 
 S = MotivicClass.sym
@@ -345,6 +345,24 @@ class TestLimits:
         assert rep.value == sym_rep.value  # S-infinity of affine space is 1
         assert rep.normalization == "by M^j"
 
+    @pytest.mark.parametrize("X", [P1, XModel.proj_space(2)], ids=["P1", "P2"])
+    def test_m_power_normalization_hodge_is_motivic_at_uv(self, X):
+        cutoff = 5
+        order = G.default_limit_order(cutoff)
+        values = {}
+        for target in (MOTIVIC, HODGE):
+            spec = Specialization(target)
+            Y = G.k_lt_a_nu(X, (), 2, order, spec)
+            values[target] = G.stable_limit(Y, X, "M", cutoff, spec).value
+        assert values[MOTIVIC] != 1
+        assert values[HODGE] == X.specialize(values[MOTIVIC], Specialization(HODGE))
+
+    def test_m_power_normalization_needs_a_stable_class(self):
+        X = XModel.hodge_deligne("1+uv")
+        Y = G.k_lt_a_nu(X, (), 2, G.default_limit_order(5))
+        with pytest.raises(InputError, match="not available for the hd model"):
+            G.stable_limit(Y, X, "M", 5)
+
     def test_divergence_detected(self):
         bad = G.zeta_series(A1, G.default_limit_order(6))  # E = 1/... wait: E = Z/Z = 1 converges
         # build a genuinely divergent Y: coefficients L^(2n) on a dim-1 model
@@ -367,7 +385,7 @@ class TestLimits:
         order = G.default_limit_order(8 + 2)
         sl = G.stable_limit(G.k_lt_a_nu(A1, (2,), 2, order), A1, "Sym", 10)
         shifted = sl.value * MotivicClass.lefschetz(-2)
-        trimmed, _ = shifted.truncate_below_dim(1, -8)
+        trimmed, _ = shifted.truncated(dim_grade(1), -8)
         assert trimmed == rep.value
 
     def test_distinct_nu_empty(self):
@@ -379,7 +397,7 @@ class TestLimits:
         y = G.kbar_nu(A1, (2,), order)
         small = G.stable_limit(y, A1, "Sym", 5)
         large = G.stable_limit(y, A1, "Sym", 9)
-        trimmed, _ = large.value.truncate_below_dim(1, -5)
+        trimmed, _ = large.value.truncated(dim_grade(1), -5)
         assert trimmed == small.value
 
     def test_rejects_repeated_nu(self):

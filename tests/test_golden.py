@@ -2,8 +2,7 @@
 
 Every ``hyper``, ``limit`` and ``series`` command recorded in
 ``bench/references.json`` is run in-process and its JSON output compared
-with the reference.  ``series zetainv`` is left out: its variants take
-seconds each.
+with the reference.
 """
 
 import json
@@ -16,11 +15,7 @@ from disczeta import cli
 REFERENCES = json.loads(
     (Path(__file__).resolve().parent.parent / "bench" / "references.json").read_text()
 )
-KEYS = sorted(
-    key
-    for key in REFERENCES
-    if key.split()[0] in ("hyper", "limit", "series") and not key.startswith("series zetainv")
-)
+KEYS = sorted(key for key in REFERENCES if key.split()[0] in ("hyper", "limit", "series"))
 
 
 @pytest.mark.parametrize("key", KEYS)

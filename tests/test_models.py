@@ -172,7 +172,41 @@ class TestChecks:
         assert all(XL.sym(n) == 3 ** (2 * n) for n in range(6))
 
 
+def uvpolys(max_terms=3):
+    exponents = st.tuples(st.integers(min_value=-2, max_value=2), st.integers(min_value=-2, max_value=2))
+    return st.dictionaries(exponents, st.integers(min_value=-5, max_value=5), max_size=max_terms).map(UVPoly.of)
+
+
 class TestUVPoly:
+    @given(uvpolys(), uvpolys(), uvpolys())
+    @settings(max_examples=60)
+    def test_ring_axioms(self, a, b, c):
+        assert (a + b) * c == a * c + b * c
+        assert (a * b) * c == a * (b * c)
+        assert a + b == b + a
+        assert a * b == b * a
+        assert a + 0 == a and 0 + a == a and a * 1 == a
+        assert a - a == 0 and not a - a
+        assert (a - b) + b == a
+        assert 1 - a == -(a - 1)
+        assert hash(a * b) == hash(b * a)
+
+    @given(uvpolys(), st.integers(min_value=0, max_value=3))
+    @settings(max_examples=30)
+    def test_powers(self, a, n):
+        expect = UVPoly.from_int(1)
+        for _ in range(n):
+            expect = expect * a
+        assert a**n == expect
+
+    def test_negative_powers_only_for_unit_monomials(self):
+        m = UVPoly.term(-1, 2, -1)
+        assert m**-3 * m**3 == 1
+        with pytest.raises(InputError):
+            (m + 1) ** -1
+        with pytest.raises(InputError):
+            UVPoly.term(2, 1, 1) ** -1
+
     def test_parse(self):
         assert UVPoly.parse("1+uv") == UVPoly.of({(0, 0): 1, (1, 1): 1})
         assert UVPoly.parse("1 - 2u^2 + u^2v") == UVPoly.of({(0, 0): 1, (2, 0): -2, (2, 1): 1})

@@ -152,6 +152,11 @@ class TestCountSymS:
         table = O.count_sym_s_table(q, j, j)
         assert sum(table) == q**j
 
+    def test_negative_s_rejected(self):
+        for count in (O.count_sym_s, O.count_hyper_s):
+            with pytest.raises(InputError):
+                count(2, 3, -1)
+
 
 class TestCountHyperS:
     def test_smooth_cubics_q2(self):

@@ -21,7 +21,7 @@ def test_criterion_passes(name, check):
 def test_smooth_fraction_must_be_exact(monkeypatch):
     # a smooth fraction off 3/8 by 1/1000 at every degree is a failure, not a pass
     near = Fraction(3, 8) + Fraction(1, 1000)
-    monkeypatch.setattr(oracle, "count_hyper_s", lambda q, j, s, guard=None: near)
+    monkeypatch.setattr(oracle, "count_hyper_s_table", lambda q, j, s_max, guard=None: [near] * (s_max + 1))
     res = verify.check_hyper_density_p1()
     assert res["name"] == "hyper-density-p1"
     assert not res["ok"]
