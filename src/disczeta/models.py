@@ -293,6 +293,9 @@ class XModel:
     def specialize(self, c: MotivicClass, spec: Specialization | None = None):
         """Ring-morphism image of a symbolic class: S_i -> [Sym^i X], L -> target."""
         spec = spec or self.natural_spec()
+        if self.kind == "symbolic":  # S_i -> S_i, L -> L is the identity
+            self.sym(0, spec)  # rejects every target but motivic-L
+            return c
         return c.substitute_syms(lambda i: self.sym(i, spec), self.L_image(spec))
 
     def ring_one(self, spec: Specialization | None = None):

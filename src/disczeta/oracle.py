@@ -1,13 +1,21 @@
 """Independent brute-force ground truth.
 
 Everything here is exhaustive and exact: finite fields built from explicit
-irreducible moduli, polynomial enumeration with squarefree/multiplicity
-analysis, binary-form divisors on the projective line, and integer sieves.
-Nothing is shared with the generating-function engine, so agreement between
-the two is meaningful evidence.
+irreducible moduli, polynomial enumeration, binary-form divisors on the
+projective line, and integer sieves.  Nothing is shared with the
+generating-function engine, so agreement between the two is meaningful
+evidence.
+
+The Sym^n_s and hypersurface counts classify polynomials by a sieve: every
+monic irreducible g adds deg g at each multiple g^2 h of its square, which
+gives every monic polynomial of degree d its number of multiple points in
+one table of q^d bytes, once per (q, d).  The Yun-style
+``squarefree_decomposition`` stays as the reference that the tests hold
+the sieve to, polynomial by polynomial.
 
 Enumerations refuse to start when the state space exceeds the guard
-(default 10^7 states) rather than truncating silently.
+(default 10^7 states) rather than truncating silently; the guard also
+bounds the sieve's table.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import GuardExceeded, InputError, ModelDataError
+from .errors import GuardExceeded, InputError, InternalCheckError, ModelDataError
 
 DEFAULT_GUARD = 10**7
 MAX_GUARD = 10**8
@@ -31,17 +39,6 @@ def _check_guard(states: int, guard: int) -> None:
 
 # ---------------------------------------------------------------------------
 # finite fields F_{p^k}, elements encoded as integers 0..q-1 (base-p digits)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _fp_poly_mul(a: tuple, b: tuple, p: int) -> tuple:
@@ -127,15 +124,11 @@ class FiniteField:
                 if self._mul[a][b] == 1:
                     self._inv[a] = b
                     break
+        self._neg = [self._encode(tuple((-x) % p for x in self._decode(a))) for a in range(q)]
+        self._sub = [[self._add[a][self._neg[b]] for b in range(q)] for a in range(q)]
 
     def _decode(self, a: int) -> tuple:
-        out = []
-        while True:
-            out.append(a % self.p)
-            a //= self.p
-            if a == 0:
-                break
-        return tuple(out)
+        return tuple((a // self.p**i) % self.p for i in range(self.k))
 
     def _encode(self, poly: tuple) -> int:
         return sum(c * self.p**i for i, c in enumerate(poly))
@@ -144,13 +137,10 @@ class FiniteField:
         return self._add[a][b]
 
     def neg(self, a: int) -> int:
-        if a == 0:
-            return 0
-        pa = self._decode(a)
-        return self._encode(tuple((-x) % self.p for x in pa))
+        return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
-        return self._add[a][self.neg(b)]
+        return self._sub[a][b]
 
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]
@@ -173,7 +163,7 @@ class FiniteField:
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
     for p in range(2, q + 1):
-        if _is_prime(p) and q % p == 0:
+        if q % p == 0:  # the least divisor > 1 is prime
             k = 0
             m = q
             while m % p == 0:
@@ -209,30 +199,31 @@ def poly_deg(a: tuple) -> int:
 def poly_mul(F: FiniteField, a: tuple, b: tuple) -> tuple:
     if a == (0,) or b == (0,):
         return (0,)
+    add, mul = F._add, F._mul
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = F.add(out[i + j], F.mul(x, y))
-    return poly_trim(tuple(out))
+            row = mul[x]
+            for j, y in enumerate(b, i):
+                out[j] = add[out[j]][row[y]]
+    return poly_trim(out)
 
 
 def poly_divmod(F: FiniteField, a: tuple, b: tuple) -> tuple[tuple, tuple]:
     if b == (0,):
         raise ZeroDivisionError("polynomial division by zero")
+    sub, mul = F._sub, F._mul
     a = list(a)
-    db, lb = poly_deg(b), b[-1]
-    inv_lb = F.inv(lb)
+    db = poly_deg(b)
+    inv_lb = F.inv(b[-1])
     q = [0] * max(len(a) - db, 1)
-    while poly_deg(poly_trim(tuple(a))) >= db:
-        a = list(poly_trim(tuple(a)))
-        da = len(a) - 1
-        c = F.mul(a[-1], inv_lb)
-        q[da - db] = c
-        for i in range(db + 1):
-            a[da - db + i] = F.sub(a[da - db + i], F.mul(c, b[i]))
-    return poly_trim(tuple(q)), poly_trim(tuple(a))
+    for da in range(len(a) - 1, db - 1, -1):  # clear a[da], top down, in place
+        if a[da]:
+            c = q[da - db] = mul[a[da]][inv_lb]
+            row = mul[c]
+            for i, y in enumerate(b, da - db):
+                a[i] = sub[a[i]][row[y]]
+    return poly_trim(q), poly_trim(a[:db] or [0])
 
 
 def poly_gcd(F: FiniteField, a: tuple, b: tuple) -> tuple:
@@ -249,22 +240,13 @@ def poly_gcd(F: FiniteField, a: tuple, b: tuple) -> tuple:
 def poly_deriv(F: FiniteField, a: tuple) -> tuple:
     if poly_deg(a) < 1:
         return (0,)
-    out = []
-    for i in range(1, len(a)):
-        scalar = i % F.p
-        c = 0
-        for _ in range(scalar):
-            c = F.add(c, a[i])
-        out.append(c)
-    return poly_trim(tuple(out))
+    # i * a_i is the product with i mod p, a prime-field scalar coded as itself
+    return poly_trim([F.mul(i % F.p, a[i]) for i in range(1, len(a))])
 
 
 def poly_pth_root(F: FiniteField, a: tuple) -> tuple:
     # valid when a' = 0, i.e. only exponents divisible by p occur
-    out = []
-    for i in range(0, len(a), F.p):
-        out.append(F.pth_root(a[i]))
-    return poly_trim(tuple(out))
+    return poly_trim([F.pth_root(c) for c in a[:: F.p]])
 
 
 def squarefree_decomposition(F: FiniteField, f: tuple) -> dict[int, tuple]:
@@ -306,7 +288,12 @@ def squarefree_decomposition(F: FiniteField, f: tuple) -> dict[int, tuple]:
 @lru_cache(maxsize=None)
 def monic_irreducibles(q: int, max_deg: int) -> tuple[tuple, ...]:
     """All monic irreducible polynomials over F_q of degree 1..max_deg,
-    built by sieving monics against lower-degree irreducibles."""
+    built by sieving monics against lower-degree irreducibles.
+
+    Each degree is checked complete against Gauss's count in its un-inverted
+    form, sum over e | d of e * #(irreducibles of degree e) = q^d, which fixes
+    the count of every degree given the lower ones.
+    """
     F = field(q)
     irr: list[tuple] = []
     for d in range(1, max_deg + 1):
@@ -322,27 +309,10 @@ def monic_irreducibles(q: int, max_deg: int) -> tuple[tuple, ...]:
             if not composite:
                 irr.append(f)
         irr.sort(key=lambda g: (poly_deg(g), g))
+        points = sum(poly_deg(g) for g in irr if d % poly_deg(g) == 0)
+        if points != q**d:
+            raise InternalCheckError(f"irreducibles over F_{q} up to degree {d} miss Gauss's count q^{d}")
     return tuple(irr)
-
-
-def factor_monic(F: FiniteField, f: tuple) -> dict[tuple, int]:
-    """Full factorization into monic irreducibles by trial division."""
-    f = poly_trim(f)
-    if poly_deg(f) < 1:
-        return {}
-    out: dict[tuple, int] = {}
-    for g in monic_irreducibles(F.q, poly_deg(f)):
-        if poly_deg(g) > poly_deg(f):
-            break
-        while True:
-            quo, rem = poly_divmod(F, f, g)
-            if rem != (0,):
-                break
-            out[g] = out.get(g, 0) + 1
-            f = quo
-        if poly_deg(f) == 0:
-            break
-    return out
 
 
 def multiple_point_count(F: FiniteField, f: tuple) -> int:
@@ -366,9 +336,6 @@ def is_squarefree(F: FiniteField, f: tuple) -> bool:
 
 def monic_polys(q: int, deg: int):
     """All monic polynomials of the given degree (constant 1 for degree 0)."""
-    if deg == 0:
-        yield (1,)
-        return
     for tail in itertools.product(range(q), repeat=deg):
         yield tuple(tail) + (1,)
 
@@ -430,15 +397,42 @@ def count_w_lambda(X: str, q: int, lam, guard: int = DEFAULT_GUARD) -> int:
     return count
 
 
-def _tally(values, s_max: int) -> list[int]:
-    """How many of ``values`` equal s, for each s <= s_max."""
+def _multiple_point_sieve(q: int, d: int) -> bytearray:
+    """Multiple geometric points of every monic degree-d polynomial over F_q.
+
+    Entry c belongs to the polynomial whose tail (a_0, ..., a_{d-1}) has
+    base-q code c.  Every monic irreducible g with 2 deg g <= d adds deg g at
+    each g^2 h, h monic: g^2 divides f exactly when g is a multiple factor of
+    f, and then h = f / g^2 is unique.  Multiplication only, no gcd.
+    """
+    F = field(q)
+    table = bytearray(q**d)
+    for g in monic_irreducibles(q, d // 2):
+        e = poly_deg(g)
+        g2 = poly_mul(F, g, g)
+        for h in monic_polys(q, d - 2 * e):
+            code = 0
+            for c in reversed(poly_mul(F, g2, h)[:-1]):
+                code = code * q + c
+            table[code] += e
+    return table
+
+
+@lru_cache(maxsize=None)
+def _monic_profile(q: int, d: int) -> tuple[int, ...]:
+    """Entry s: how many monic degree-d polynomials over F_q have s multiple
+    geometric points."""
+    if d < 0:
+        raise InputError("the degree j must be >= 0")
+    table = _multiple_point_sieve(q, d)
+    return tuple(table.count(s) for s in range(d // 2 + 1))
+
+
+def _up_to(counts, s_max: int) -> list:
+    """``counts`` cut or padded with zeros to its entries s = 0..s_max."""
     if s_max < 0:
         raise InputError("s must be >= 0")
-    out = [0] * (s_max + 1)
-    for s in values:
-        if s <= s_max:
-            out[s] += 1
-    return out
+    return list(counts[: s_max + 1]) + [0] * (s_max + 1 - len(counts))
 
 
 def count_sym_s(q: int, j: int, s: int, guard: int = DEFAULT_GUARD) -> int:
@@ -448,22 +442,9 @@ def count_sym_s(q: int, j: int, s: int, guard: int = DEFAULT_GUARD) -> int:
 
 
 def count_sym_s_table(q: int, j: int, s_max: int, guard: int = DEFAULT_GUARD) -> list[int]:
-    """count_sym_s for all s <= s_max in one sweep."""
+    """count_sym_s for all s <= s_max, read from the degree-j monic profile."""
     _check_guard(q**j, guard)
-    F = field(q)
-    return _tally((multiple_point_count(F, f) for f in monic_polys(q, j)), s_max)
-
-
-def _form_multiple_points(F: FiniteField, coeffs: tuple, j: int) -> int:
-    """Multiple geometric points of the degree-j binary form with the given
-    affine coefficient vector (a_0, ..., a_j)."""
-    f = poly_trim(coeffs)
-    d = poly_deg(f)
-    inf_mult = j - d
-    s = multiple_point_count(F, f) if d >= 1 else 0
-    if inf_mult >= 2:
-        s += 1
-    return s
+    return _up_to(_monic_profile(q, j), s_max)
 
 
 def count_hyper_s(q: int, j: int, s: int, guard: int = DEFAULT_GUARD) -> Fraction:
@@ -477,12 +458,21 @@ def count_hyper_s(q: int, j: int, s: int, guard: int = DEFAULT_GUARD) -> Fractio
 
 
 def count_hyper_s_table(q: int, j: int, s_max: int, guard: int = DEFAULT_GUARD) -> list[Fraction]:
-    """count_hyper_s for all s <= s_max in one sweep."""
+    """count_hyper_s for all s <= s_max, from the monic profiles of degree <= j.
+
+    A nonzero form whose affine part has degree d is one of q-1 scalar
+    multiples of a monic f, and it vanishes to order j-d at infinity, which
+    is one more multiple point when j-d >= 2.
+    """
     _check_guard(q ** (j + 1), guard)
-    F = field(q)
-    forms = itertools.product(range(q), repeat=j + 1)
-    hits = _tally((_form_multiple_points(F, c, j) for c in forms if any(c)), s_max)
-    return [Fraction(h, q ** (j + 1)) for h in hits]
+    if j < 0:
+        raise InputError("the degree j must be >= 0")
+    hits = [0] * (j + 2)
+    for d in range(j + 1):
+        at_infinity = 1 if j - d >= 2 else 0
+        for s, n in enumerate(_monic_profile(q, d)):
+            hits[s + at_infinity] += (q - 1) * n
+    return [Fraction(h, q ** (j + 1)) for h in _up_to(hits, s_max)]
 
 
 # ---------------------------------------------------------------------------
@@ -540,9 +530,16 @@ def zeta_value(s: int, terms: int = 10**4) -> tuple[Fraction, Fraction]:
     """(truncated sum of n^-s, tail bound)."""
     if s < 2:
         raise InputError("zeta_value needs s >= 2")
-    total = Fraction(0)
+    # Pairwise sums keep the denominators small: like a binary counter, the
+    # n-th term merges with the last partial once per trailing zero of n.
+    partials: list[Fraction] = []
     for n in range(1, terms + 1):
-        total += Fraction(1, n**s)
+        part, m = Fraction(1, n**s), n
+        while m % 2 == 0:
+            part += partials.pop()
+            m //= 2
+        partials.append(part)
+    total = sum(partials, Fraction(0))
     tail = Fraction(1, (s - 1) * terms ** (s - 1))
     return total, tail
 

@@ -62,3 +62,15 @@ def test_m_power_normalization_exit_codes(capsys):
     assert "value: -u^-2*v^-2 + 1" in capsys.readouterr().out
     assert cli.main(argv + ["hd:1+uv"]) == 2  # no stable symmetric-power class
     assert "not available for the hd model" in capsys.readouterr().err
+
+
+def test_oracle_exit_codes(capsys):
+    assert cli.main(["oracle", "--op", "syms", "--q", "3", "--j", "15"]) == 3
+    assert "enumeration needs 14348907 states" in capsys.readouterr().err
+    assert cli.main(["oracle", "--op", "hyper", "--q", "2", "--j", "23"]) == 3
+    assert "enumeration needs 16777216 states" in capsys.readouterr().err
+    for op in ("syms", "hyper"):
+        assert cli.main(["oracle", "--op", op, "--q", "6", "--j", "3"]) == 2
+        assert "6 is not a prime power" in capsys.readouterr().err
+        assert cli.main(["oracle", "--op", op, "--q", "2", "--j", "3", "--guard", "1000000000"]) == 2
+        assert "guards cannot be raised past" in capsys.readouterr().err

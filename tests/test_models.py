@@ -106,6 +106,15 @@ class TestSpecializeClass:
         got = XModel.proj_line().specialize(c, Specialization(HODGE))
         assert got == UVPoly.term(1, 2, 2)
 
+    def test_symbolic_is_the_identity(self):
+        X = XModel.symbolic()
+        c = MotivicClass.sym(2) * MotivicClass.lefschetz(-1) - MotivicClass.sym(1) ** 2 + 3
+        assert X.specialize(c) == c
+        assert X.specialize(c, Specialization(MOTIVIC)) == c
+        for spec in (Specialization(COUNT, 2), Specialization(HODGE)):
+            with pytest.raises(InputError):
+                X.specialize(c, spec)
+
     @given(
         st.integers(min_value=0, max_value=3),
         st.integers(min_value=0, max_value=3),

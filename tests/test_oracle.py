@@ -6,7 +6,7 @@ import pytest
 from disczeta import genfun as G
 from disczeta import oracle as O
 from disczeta import partitions as pt
-from disczeta.errors import GuardExceeded, InputError, ModelDataError
+from disczeta.errors import GuardExceeded, InputError, InternalCheckError, ModelDataError
 from disczeta.models import COUNT, Specialization, XModel
 from disczeta.partitions import GenPartition
 
@@ -25,6 +25,7 @@ class TestFiniteField:
         for a, b in itertools.product(els, repeat=2):
             assert F.add(a, b) == F.add(b, a)
             assert F.mul(a, b) == F.mul(b, a)
+            assert F.sub(a, b) == F.add(a, F.neg(b))
         for a, b, c in itertools.product(range(min(q, 5)), repeat=3):
             assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
             assert F.mul(a, F.mul(b, c)) == F.mul(F.mul(a, b), c)
@@ -58,7 +59,7 @@ class TestPolynomials:
         for deg in range(1, 7 if q == 2 else 5):
             for f in O.monic_polys(q, deg):
                 sfd = O.squarefree_decomposition(F, f)
-                fact = O.factor_monic(F, f)
+                fact = _factor_monic(F, f)
                 # rebuild multiplicity -> product of factors with that multiplicity
                 expect: dict[int, tuple] = {}
                 for g, m in fact.items():
@@ -72,6 +73,35 @@ class TestPolynomials:
         for g in irr:
             by_deg[O.poly_deg(g)] = by_deg.get(O.poly_deg(g), 0) + 1
         assert by_deg == {1: 2, 2: 1, 3: 2, 4: 3}
+
+    def test_irreducibles_missing_gauss_count_raise(self, monkeypatch):
+        # a division that never leaves remainder 0 lets every monic through
+        monkeypatch.setattr(O, "poly_divmod", lambda F, a, b: ((0,), (1,)))
+        with pytest.raises(InternalCheckError, match="Gauss"):
+            O.monic_irreducibles.__wrapped__(2, 3)
+
+    @pytest.mark.parametrize("q,max_deg", [(2, 8), (3, 5), (4, 5)])
+    def test_sieve_matches_squarefree_decomposition(self, q, max_deg):
+        # per polynomial: the multiplication sieve against Yun's gcd route
+        F = O.field(q)
+        for d in range(max_deg + 1):
+            table = O._multiple_point_sieve(q, d)
+            for f in O.monic_polys(q, d):
+                code = sum(c * q**i for i, c in enumerate(f[:-1]))
+                assert table[code] == O.multiple_point_count(F, f), (q, f)
+
+
+def _factor_monic(F, f):
+    """Full factorization into monic irreducibles by trial division."""
+    out = {}
+    for g in O.monic_irreducibles(F.q, O.poly_deg(f)):
+        while O.poly_deg(f) >= O.poly_deg(g):
+            quo, rem = O.poly_divmod(F, f, g)
+            if rem != (0,):
+                break
+            out[g] = out.get(g, 0) + 1
+            f = quo
+    return out
 
 
 class TestCountWLambda:
@@ -175,12 +205,36 @@ class TestCountHyperS:
         table = O.count_hyper_s_table(q, j, j)
         assert sum(table) == Fraction(q ** (j + 1) - 1, q ** (j + 1))
 
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_matches_form_enumeration(self, q):
+        for j in range(6):
+            assert O.count_hyper_s_table(q, j, j) == _hyper_table_by_forms(q, j), (q, j)
+
     def test_smooth_stabilizes_early(self):
         # exact equality with (1-q^-1)(1-q^-2) from j = 3 on
         q = 2
         expect = Fraction(3, 8)
         for j in (3, 4, 5, 6, 7):
             assert O.count_hyper_s(q, j, 0) == expect
+
+
+def _form_multiple_points(F, coeffs, j):
+    """Multiple geometric points of the degree-j binary form with the given
+    affine coefficient vector (a_0, ..., a_j)."""
+    f = O.poly_trim(coeffs)
+    d = O.poly_deg(f)
+    s = O.multiple_point_count(F, f) if d >= 1 else 0
+    return s + 1 if j - d >= 2 else s
+
+
+def _hyper_table_by_forms(q, j):
+    """count_hyper_s_table(q, j, j) by classifying each of the q^(j+1) forms."""
+    F = O.field(q)
+    hits = [0] * (j + 1)
+    for c in itertools.product(range(q), repeat=j + 1):
+        if any(c):
+            hits[_form_multiple_points(F, c, j)] += 1
+    return [Fraction(h, q ** (j + 1)) for h in hits]
 
 
 class TestIntegerDensity:
@@ -217,6 +271,12 @@ class TestIntegerDensity:
         pred = O.power_density_prediction(2, 2, 0)
         z2, _ = O.zeta_value(2)
         assert abs(pred["value"] - (1 - 1 / z2)) < Fraction(1, 10**6)
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_zeta_value_is_the_sequential_sum(self, s):
+        total, tail = O.zeta_value(s, terms=3000)
+        assert total == sum((Fraction(1, n**s) for n in range(1, 3001)), Fraction(0))
+        assert tail == Fraction(1, (s - 1) * 3000 ** (s - 1))
 
     def test_prediction_vs_sieve_r1(self):
         pred = O.power_density_prediction(2, 2, 1)
