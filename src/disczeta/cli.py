@@ -103,7 +103,7 @@ def cmd_series(args) -> int:
     elif args.kind == "zetainv":
         lam = GenPartition.parse(args.lam) if args.lam else GenPartition.empty()
         params["lambda"] = str(lam)
-        series = G.zinv_lambda(X, lam, n, spec)
+        series = G.zinv_profiles(X, lam, n, spec)
     elif args.kind == "k":
         nu = _parse_int_partition(args.nu) if args.nu else ()
         params["nu"] = ",".join(map(str, nu)) or "-"
@@ -250,6 +250,8 @@ def cmd_oracle(args) -> int:
         lam = _parse_int_partition(args.lam or "")
         params = {"op": "wlambda", "X": args.oracle_X, "q": args.q, "lambda": ",".join(map(str, lam)) or "-"}
         work = lambda: {"exact_count": O.count_w_lambda(args.oracle_X, args.q, lam, guard)}
+    elif args.op in ("syms", "hyper") and args.j is None and not args.sweep_j:
+        raise InputError(f"oracle --op {args.op} needs --j or --sweep-j")
     elif args.op == "syms":
         params = {"op": "syms", "q": args.q, "s": args.s or 0}
         if args.sweep_j:

@@ -9,7 +9,10 @@ The series built here (all truncated in t):
   unmarked multiplicities < a decorating a fixed pattern nu.
 * ``kbar_nu``         -- Kbar_{1*nu}(t) = sum_j [wbar_{1^j nu}] t^j, closures.
 * ``sym_s_series``    -- configurations with exactly s multiple points.
-* ``zinv_lambda``     -- the inverse-zeta analogues graded by point count.
+* ``zinv_profiles``   -- the inverse-zeta analogues graded by point count,
+  summed over multiplicity profiles (what ``series zetainv`` prints).
+* ``zinv_lambda``     -- the same series as the defining signed sum over Q;
+  the second route that checks ``zinv_profiles``.
 * densities and stable limits expressed through motivic zeta values.
 
 Two t-gradings coexist and must not be mixed silently: configuration series
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -84,34 +88,34 @@ def _w_profile(profile: tuple[int, ...]) -> MotivicClass:
     """
     if not profile:
         return MotivicClass.one()
+    minus: Counter = Counter()  # profile -> how many times its class is subtracted
     if all(m == 1 for m in profile):
         k = len(profile)
-        acc = MotivicClass.sym(1, k)
+        head = MotivicClass.sym(1, k)
         for j in range(1, k):
-            acc = acc - _stirling2(k, j) * _w_profile((1,) * j)
-        return acc
-    if len(profile) == 1:
+            minus[(1,) * j] += _stirling2(k, j)
+    elif len(profile) == 1:
         c = profile[0]
-        acc = MotivicClass.sym(c)
+        head = MotivicClass.sym(c)
         for k in range(1, c):
             for pi in pt.enumerate_k_parts(k, c):
                 if sum(pi) == c:
-                    acc = acc - _w_profile(_profile_of_ints(pi))
-        return acc
-    c, rest = profile[0], profile[1:]
-    acc = _w_profile((c,)) * _w_profile(rest)
-    for ks in itertools.product(*[range(m + 1) for m in rest]):
-        total = sum(ks)
-        if not 1 <= total <= c:
-            continue
-        collided: list[int] = [] if total == c else [c - total]
-        for m, k in zip(rest, ks):
-            if k:
-                collided.append(k)
-            if m - k:
-                collided.append(m - k)
-        acc = acc - _w_profile(tuple(sorted(collided, reverse=True)))
-    return acc
+                    minus[_profile_of_ints(pi)] += 1
+    else:
+        c, rest = profile[0], profile[1:]
+        head = _w_profile((c,)) * _w_profile(rest)
+        for ks in itertools.product(*[range(m + 1) for m in rest]):
+            total = sum(ks)
+            if not 1 <= total <= c:
+                continue
+            collided: list[int] = [] if total == c else [c - total]
+            for m, k in zip(rest, ks):
+                if k:
+                    collided.append(k)
+                if m - k:
+                    collided.append(m - k)
+            minus[tuple(sorted(collided, reverse=True))] += 1
+    return MotivicClass.combination([(1, head)] + [(-n, _w_profile(p)) for p, n in minus.items()])
 
 
 def _formalization_with_profile(profile: tuple[int, ...]) -> GenPartition:
@@ -168,7 +172,7 @@ def zeta_s_series(X: XModel, s: int, N: int, spec: Specialization | None = None)
 
 
 def _profile_of_ints(lam: tuple[int, ...]) -> tuple[int, ...]:
-    return pt.multiplicity_profile(GenPartition.integers(lam)) if lam else ()
+    return tuple(sorted(Counter(lam).values(), reverse=True))
 
 
 def k_lt_a_nu(
@@ -301,6 +305,29 @@ def zinv_lambda(
         sign = -1 if pt.q_distinct(mu) % 2 else 1
         prof = tuple(sorted(base_profile + _profile_of_ints(mu), reverse=True))
         coeffs[k] = coeffs[k] + sign * w_of(X, prof, spec)
+    return TruncSeries.from_coeffs(coeffs, GRADING_POINTS)
+
+
+def zinv_profiles(
+    X: XModel, lam: GenPartition, N_pts: int, spec: Specialization | None = None
+) -> TruncSeries:
+    """``zinv_lambda`` summed over the multiplicity profiles of mu, not over Q.
+
+    mu in Q is fixed by its multiplicities (c_1, ..., c_m).  The mu whose
+    multiplicities form the partition pi of k are the m!/prod_v mult_pi(v)!
+    orderings of pi, each with sign (-1)^m, so coefficient |lambda| + k sums
+    over the p(k) partitions pi of k instead of the 2^(k-1) elements of Q.
+    """
+    if N_pts < 0:
+        raise InputError("N_pts must be >= 0")
+    base_profile = pt.multiplicity_profile(lam)
+    s0 = len(lam)
+    coeffs: list = [0] * (N_pts + 1)
+    for m in range(N_pts - s0 + 1):
+        for pi in pt.enumerate_k_parts(m, N_pts - s0):
+            orderings = math.factorial(m) // math.prod(map(math.factorial, _profile_of_ints(pi)))
+            k = s0 + sum(pi)
+            coeffs[k] = coeffs[k] + (-1) ** m * orderings * w_of(X, base_profile + pi, spec)
     return TruncSeries.from_coeffs(coeffs, GRADING_POINTS)
 
 

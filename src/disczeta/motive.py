@@ -121,6 +121,15 @@ class SparsePoly:
         d = cls._dict_of(value)
         return None if d is None else cls(d)
 
+    @classmethod
+    def combination(cls, pairs):
+        """sum n * value over the (n, value) pairs in one dict, dropping zeros once at the end."""
+        acc: dict = {}
+        for n, value in pairs:
+            for k, v in cls._dict_of(value).items():
+                acc[k] = acc.get(k, 0) + n * v
+        return cls({k: v for k, v in acc.items() if v})
+
     @property
     def terms(self) -> tuple:
         """The (key, coefficient) pairs in increasing key order."""

@@ -74,3 +74,17 @@ def test_oracle_exit_codes(capsys):
         assert "6 is not a prime power" in capsys.readouterr().err
         assert cli.main(["oracle", "--op", op, "--q", "2", "--j", "3", "--guard", "1000000000"]) == 2
         assert "guards cannot be raised past" in capsys.readouterr().err
+        assert cli.main(["oracle", "--op", op, "--q", "3"]) == 2  # no degree given
+        assert "needs --j or --sweep-j" in capsys.readouterr().err
+
+
+def test_series_exit_codes(capsys):
+    for argv, message in [
+        (["symsing"], "symsing needs --s"),
+        (["kbar"], "kbar needs --nu"),
+        (["kbar", "--nu", "1"], "kbar_nu needs all parts >= 2"),
+        (["k", "--nu", "1"], "all parts of nu must be >= a=2"),
+        (["zetainv", "--trunc", "-1"], "N_pts must be >= 0"),
+    ]:
+        assert cli.main(["series", *argv]) == 2
+        assert message in capsys.readouterr().err

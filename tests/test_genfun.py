@@ -33,6 +33,13 @@ def w_class_from_chains(lam: GenPartition) -> MotivicClass:
     return acc
 
 
+def profiles_up_to(size: int):
+    """Every multiplicity profile (a partition, weakly decreasing) of sum <= size."""
+    for k in range(size + 1):
+        for pi in pt.enumerate_k_parts(k, size):
+            yield tuple(reversed(pi))
+
+
 def star_profile(s: int) -> GenPartition:
     """s points with one shared free label: the lambda of zinv_{*^s}."""
     return GenPartition.of([pt.Part.gen("star")] * s)
@@ -74,6 +81,11 @@ class TestWClasses:
         q = 5
         got = A1.specialize(c, Specialization(COUNT, q))
         assert got == q * q  # (q^2 - q) + q
+
+    def test_every_small_profile_matches_chain_formula(self):
+        for profile in profiles_up_to(5):
+            lam = G._formalization_with_profile(profile)
+            assert G._w_profile(profile) == w_class_from_chains(lam), profile
 
     def test_sym_decomposes_into_w(self):
         # S_3 = w_{1,1,1} + w_{1,2} + w_{3}
@@ -124,6 +136,12 @@ class TestZetaSeries:
         inv = G.zeta_series(SYM, n).inverse()
         direct = G.zinv_lambda(SYM, GenPartition.empty(), n)
         assert inv == direct.regraded(GRADING_MULT)
+
+    def test_inversion_identity_by_profiles(self):
+        # the same identity at an order the sum over Q cannot reach in tier-1 time
+        n = 14
+        inv = G.zeta_series(SYM, n).inverse()
+        assert inv == G.zinv_profiles(SYM, GenPartition.empty(), n).regraded(GRADING_MULT)
 
 
 class TestKSeries:
@@ -232,22 +250,34 @@ class TestSymS:
         assert total == G.zeta_series(SYM, n)
 
 
+def check_ordered_closed_form(zinv):
+    # lambda = s ordered labels: zinv = w t^s Z^-1/(1-t)^s
+    n = 7
+    for s in (1, 2, 3):
+        lam = GenPartition.of([pt.Part.gen(f"g{i}") for i in range(s)])
+        got = zinv(SYM, lam, n)
+        zinv0 = zinv(SYM, GenPartition.empty(), n)
+        inv_1t = TruncSeries.from_coeffs(
+            [1, -1] + [0] * (n - 1), G.GRADING_POINTS
+        ).inverse()
+        expect = (zinv0 * inv_1t.scale(1)).scale(G.w_of(SYM, (1,) * s))
+        for _ in range(s - 1):
+            expect = expect * inv_1t
+        expect = expect.shift_up(s)
+        assert got == expect
+
+
 class TestZinv:
     def test_ordered_closed_form(self):
-        # lambda = s ordered labels: zinv = w t^s Z^-1/(1-t)^s
-        n = 7
-        for s in (1, 2, 3):
-            lam = GenPartition.of([pt.Part.gen(f"g{i}") for i in range(s)])
-            got = G.zinv_lambda(SYM, lam, n)
-            zinv0 = G.zinv_lambda(SYM, GenPartition.empty(), n)
-            inv_1t = TruncSeries.from_coeffs(
-                [1, -1] + [0] * (n - 1), G.GRADING_POINTS
-            ).inverse()
-            expect = (zinv0 * inv_1t.scale(1)).scale(G.w_of(SYM, (1,) * s))
-            for _ in range(s - 1):
-                expect = expect * inv_1t
-            expect = expect.shift_up(s)
-            assert got == expect
+        check_ordered_closed_form(G.zinv_lambda)
+
+    def test_ordered_closed_form_by_profiles(self):
+        check_ordered_closed_form(G.zinv_profiles)
+
+    @pytest.mark.parametrize("profile", [(), (1,), (2,), (1, 1), (2, 1), (3,)], ids=str)
+    def test_profiles_match_q_sum(self, profile):
+        lam = G._formalization_with_profile(profile)
+        assert G.zinv_profiles(SYM, lam, 9) == G.zinv_lambda(SYM, lam, 9)
 
     def test_sum_over_s_is_one(self):
         n = 6
@@ -438,6 +468,13 @@ class TestSecondRoutes:
         for s in (0, 1, 2):
             zinv = G.zinv_lambda(X, star_profile(s), n, spec)
             assert G.zeta_s_series(X, s, n, spec) * Zinv == zinv.regraded(GRADING_MULT)
+
+    @pytest.mark.parametrize("spec", EVALUABLE_SPECS, ids=str)
+    @pytest.mark.parametrize("X", [A1, P1, XModel.proj_space(2)], ids=XModel.label)
+    def test_zinv_profiles_match_q_sum(self, X, spec):
+        for profile in [(), (1,)]:
+            lam = G._formalization_with_profile(profile)
+            assert G.zinv_profiles(X, lam, 7, spec) == G.zinv_lambda(X, lam, 7, spec)
 
     @pytest.mark.parametrize("spec", EVALUABLE_SPECS, ids=str)
     @pytest.mark.parametrize("X", [A1, P1], ids=XModel.label)

@@ -116,6 +116,35 @@ class TestMotivicClass:
         assert (a * b).degree(grade) == a.degree(grade) + b.degree(grade)
 
 
+class TestCombination:
+    def test_no_pairs_is_zero(self):
+        assert MotivicClass.combination([]) == MotivicClass.zero()
+        assert not LaurentL.combination([])
+
+    def test_cancelling_pairs_leave_no_zero_coefficient(self):
+        a = MotivicClass.sym(2) - MotivicClass.lefschetz(1) + 3
+        b = MotivicClass.sym(1) * MotivicClass.lefschetz(-1)
+        c = MotivicClass.combination([(2, a), (1, b), (-2, a), (3, 1), (-1, 3)])
+        assert c.terms == b.terms
+        assert all(v for _, v in c.terms)
+
+    @given(st.lists(st.tuples(st.integers(min_value=-3, max_value=3), classes()), max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_sequential_sum(self, pairs):
+        expect = MotivicClass.zero()
+        for n, value in pairs:
+            expect = expect + n * value
+        got = MotivicClass.combination(pairs)
+        assert got == expect and got.terms == expect.terms
+
+    @given(laurents(), st.integers(min_value=-3, max_value=3))
+    @settings(max_examples=40)
+    def test_a_laurent_value_combines_into_a_class(self, a, n):
+        c = MotivicClass.combination([(n, a)])
+        assert type(c) is MotivicClass
+        assert c == n * a and hash(c) == hash(n * a)
+
+
 def ts(*coeffs, grading=M.GRADING_MULT):
     return TruncSeries.from_coeffs(coeffs, grading)
 
