@@ -150,6 +150,8 @@ def cmd_limit(args) -> int:
             series = G.k_lt_a_nu(X, nu, args.a, order, spec)
             expr = f"E(M^-1) with E = K_(<{args.a}){nu}/Z_X"
         elif args.of == "kbar":
+            if not args.nu:
+                raise InputError("kbar needs --nu with all parts >= 2")
             nu = _parse_int_partition(args.nu)
             params["nu"] = ",".join(map(str, nu))
             series = G.kbar_nu(X, nu, order, spec)
@@ -184,6 +186,8 @@ def cmd_hyper(args) -> int:
         "cutoff": args.cutoff,
     }
     if args.multi is not None:
+        if args.ordered or args.s is not None:
+            raise InputError("--multi cannot be combined with --ordered or --s")
         params["multi"] = args.multi
         density = G.multi_point_density(X, args.d, args.multi, args.cutoff, spec)
     elif args.ordered:
@@ -364,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_limit.set_defaults(func=cmd_limit)
 
     p_hyper = sub.add_parser("hyper", help="limiting densities of singular divisors")
-    p_hyper.add_argument("--s", type=int, default=0, help="number of singular points")
+    p_hyper.add_argument("--s", type=int, default=None, help="number of singular points (default 0)")
     p_hyper.add_argument("--d", type=int, default=1, help="dimension of X")
     p_hyper.add_argument("--ordered", action="store_true", help="s ordered singular points")
     p_hyper.add_argument("--multi", type=int, default=None, help="no m-multiple-point density")

@@ -31,7 +31,6 @@ all symmetric-power generators at index <= N.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -61,40 +60,39 @@ from .partitions import GenPartition, int_partition
 # universal classes of strata
 
 
-@lru_cache(maxsize=None)
-def _stirling2(n: int, k: int) -> int:
-    if k in (0, n):
-        return 1 if k == n else 0
-    if k > n or k < 0:
-        return 0
-    return _stirling2(n - 1, k - 1) + k * _stirling2(n - 1, k)
+def _collisions(rest: tuple[int, ...], c: int):
+    """The vectors (k_1, ..., k_r) with 0 <= k_j <= m_j and 1 <= sum k_j <= c."""
+
+    def walk(j: int, room: int):
+        if j == len(rest) or not room:
+            yield (0,) * (len(rest) - j)
+            return
+        for k in range(min(rest[j], room) + 1):
+            for tail in walk(j + 1, room - k):
+                yield (k, *tail)
+
+    return (ks for ks in walk(0, c) if any(ks))
 
 
 @lru_cache(maxsize=None)
 def _w_profile(profile: tuple[int, ...]) -> MotivicClass:
     """[w_lambda] for any lambda with multiplicity profile ``profile``.
 
-    Three routes, all equivalent to the signed sum over <<-chains:
+    Two routes, both equivalent to the signed sum over <<-chains:
 
-    * all-distinct profiles (1,...,1): every merge of the formalization again
-      has all parts distinct (distinct subsets of free generators have
-      distinct sums), so the closure contributes Stirling numbers;
     * a single repeated value (c,): the closure of a free c-fold value runs
       over integer partitions of c;
-    * mixed profiles: the product rule.  Configurations labeled a^c times
-      configurations labeled by the rest decompose as the disjoint pattern
-      plus collision strata, one for each choice of how many points of each
-      remaining value land on distinct a-points.
+    * several values: the product rule, peeling the smallest multiplicity c.
+      Configurations labeled a^c times configurations labeled by the rest
+      decompose as the disjoint pattern plus collision strata, one for each
+      choice of how many points k_j of each remaining value land on distinct
+      a-points, so sum k_j <= c.  For (1,...,1) this is
+      w(1^k) = (S_1 - (k-1)) w(1^(k-1)).
     """
     if not profile:
         return MotivicClass.one()
     minus: Counter = Counter()  # profile -> how many times its class is subtracted
-    if all(m == 1 for m in profile):
-        k = len(profile)
-        head = MotivicClass.sym(1, k)
-        for j in range(1, k):
-            minus[(1,) * j] += _stirling2(k, j)
-    elif len(profile) == 1:
+    if len(profile) == 1:
         c = profile[0]
         head = MotivicClass.sym(c)
         for k in range(1, c):
@@ -102,12 +100,10 @@ def _w_profile(profile: tuple[int, ...]) -> MotivicClass:
                 if sum(pi) == c:
                     minus[_profile_of_ints(pi)] += 1
     else:
-        c, rest = profile[0], profile[1:]
+        c, rest = profile[-1], profile[:-1]
         head = _w_profile((c,)) * _w_profile(rest)
-        for ks in itertools.product(*[range(m + 1) for m in rest]):
+        for ks in _collisions(rest, c):
             total = sum(ks)
-            if not 1 <= total <= c:
-                continue
             collided: list[int] = [] if total == c else [c - total]
             for m, k in zip(rest, ks):
                 if k:

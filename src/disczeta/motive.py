@@ -162,6 +162,8 @@ class SparsePoly:
         return type(self)({k: -v for k, v in self._d.items()})
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            return type(self)({k: other * v for k, v in self._d.items()} if other else {})
         o = self._dict_of(other)
         if o is None:
             return NotImplemented
@@ -336,12 +338,16 @@ class MotivicClass(SparsePoly):
         coeffs: dict[tuple, dict] = {}
         for k, v in self._d.items():
             coeffs.setdefault(k[1:], {})[k[:1]] = v
+        powers: dict[tuple[int, int], object] = {}  # (i, e) -> sym_value(i) ** e
         total = 0
         for syms, c in coeffs.items():
             part = LaurentL(c) if l_value is None else LaurentL(c).substitute(l_value)
             for i, e in enumerate(syms, start=1):
-                for _ in range(e):
-                    part = part * sym_value(i)
+                if e:
+                    power = powers.get((i, e))
+                    if power is None:
+                        power = powers[i, e] = sym_value(i) ** e
+                    part = part * power
             total = total + part
         return total
 

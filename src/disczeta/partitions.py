@@ -472,24 +472,3 @@ def enumerate_k_parts(k: int, max_sum: int) -> list[tuple[int, ...]]:
         grow([], 1, max_sum, k)
     return out
 
-
-def ll_chains(lam: GenPartition, max_len: int | None = None) -> list[tuple[GenPartition, ...]]:
-    """All chains lam = mu_0 << mu_1 << ... << mu_k with k <= max_len.
-
-    mu << mu' means formalize(mu) < mu'.  Each step strictly reduces the part
-    count, so max_len = |lam| always suffices (and is the default).
-    """
-    if max_len is None:
-        max_len = len(lam)
-    chains: list[tuple[GenPartition, ...]] = []
-
-    def extend(chain: list[GenPartition]) -> None:
-        chains.append(tuple(chain))
-        if len(chain) - 1 >= max_len:
-            return
-        f = formalize(chain[-1])
-        for nxt in sorted(merge_closure(f) - {f}):
-            extend(chain + [nxt])
-
-    extend([lam])
-    return chains

@@ -88,3 +88,17 @@ def test_series_exit_codes(capsys):
     ]:
         assert cli.main(["series", *argv]) == 2
         assert message in capsys.readouterr().err
+
+
+def test_limit_kbar_needs_nu(capsys):
+    assert cli.main(["limit", "--of", "kbar", "--X", "P1", "--spec", "count:q=3", "--cutoff", "4"]) == 2
+    assert "kbar needs --nu" in capsys.readouterr().err
+
+
+def test_hyper_multi_rejects_ordered_and_s(capsys):
+    argv = ["hyper", "--X", "P1", "--d", "1", "--multi", "2", "--cutoff", "4"]
+    for extra in (["--ordered"], ["--s", "1"], ["--s", "0"], ["--s", "1", "--ordered"]):
+        assert cli.main(argv + extra) == 2
+        assert "--multi cannot be combined with --ordered or --s" in capsys.readouterr().err
+    assert cli.main(argv) == 0
+    assert "expression: 1/zeta_X(2)" in capsys.readouterr().out

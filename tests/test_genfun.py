@@ -1,4 +1,7 @@
+import itertools
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,8 @@ from disczeta.errors import DivergenceError, InputError, InternalCheckError
 from disczeta.models import COUNT, HODGE, MOTIVIC, Specialization, XModel
 from disczeta.motive import GRADING_MULT, LaurentL, MotivicClass, TruncSeries, dim_grade
 from disczeta.partitions import GenPartition
+
+from chains import ll_chains
 
 S = MotivicClass.sym
 A1 = XModel.affine_space(1)
@@ -26,10 +31,56 @@ def gp(*values):
 def w_class_from_chains(lam: GenPartition) -> MotivicClass:
     """Independent route to [w_lambda]: the signed sum over <<-chains."""
     acc = MotivicClass.zero()
-    for chain in pt.ll_chains(lam):
+    for chain in ll_chains(lam):
         sign = -1 if (len(chain) - 1) % 2 else 1
         term = MotivicClass.sym_product(pt.multiplicity_profile(chain[-1]))
         acc = acc + sign * term
+    return acc
+
+
+@lru_cache(maxsize=None)
+def stirling2(n: int, k: int) -> int:
+    if k in (0, n):
+        return 1 if k == n else 0
+    if k > n or k < 0:
+        return 0
+    return stirling2(n - 1, k - 1) + k * stirling2(n - 1, k)
+
+
+@lru_cache(maxsize=None)
+def w_peel_largest(profile: tuple[int, ...]) -> MotivicClass:
+    """Reference [w_lambda]: Stirling numbers for (1,...,1), the partitions of c
+    for (c,), and otherwise the product rule peeling the largest multiplicity
+    over every collision vector of itertools.product, filtered to 1 <= total <= c."""
+    if not profile:
+        return MotivicClass.one()
+    minus: Counter = Counter()
+    if all(m == 1 for m in profile):
+        k = len(profile)
+        head = S(1, k)
+        for j in range(1, k):
+            minus[(1,) * j] += stirling2(k, j)
+    elif len(profile) == 1:
+        c = profile[0]
+        head = S(c)
+        for k in range(1, c):
+            for pi in pt.enumerate_k_parts(k, c):
+                if sum(pi) == c:
+                    minus[tuple(sorted(Counter(pi).values(), reverse=True))] += 1
+    else:
+        c, rest = profile[0], profile[1:]
+        head = w_peel_largest((c,)) * w_peel_largest(rest)
+        for ks in itertools.product(*[range(m + 1) for m in rest]):
+            total = sum(ks)
+            if not 1 <= total <= c:
+                continue
+            collided = [] if total == c else [c - total]
+            for m, k in zip(rest, ks):
+                collided += [n for n in (k, m - k) if n]
+            minus[tuple(sorted(collided, reverse=True))] += 1
+    acc = head
+    for p, n in minus.items():
+        acc = acc - n * w_peel_largest(p)
     return acc
 
 
@@ -86,6 +137,24 @@ class TestWClasses:
         for profile in profiles_up_to(5):
             lam = G._formalization_with_profile(profile)
             assert G._w_profile(profile) == w_class_from_chains(lam), profile
+
+    def test_peeling_the_smallest_matches_peeling_the_largest(self):
+        for profile in profiles_up_to(10):
+            assert G._w_profile(profile).terms == w_peel_largest(profile).terms, profile
+
+    def test_all_distinct_is_the_falling_factorial(self):
+        expect = MotivicClass.one()
+        for k in range(1, 9):
+            expect = expect * (S(1) - (k - 1))
+            assert G._w_profile((1,) * k) == expect, k
+
+    def test_collisions_are_the_filtered_product(self):
+        for rest in profiles_up_to(6):
+            for c in range(1, 5):
+                expect = [
+                    ks for ks in itertools.product(*[range(m + 1) for m in rest]) if 1 <= sum(ks) <= c
+                ]
+                assert list(G._collisions(rest, c)) == expect, (rest, c)
 
     def test_sym_decomposes_into_w(self):
         # S_3 = w_{1,1,1} + w_{1,2} + w_{3}

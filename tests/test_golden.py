@@ -2,7 +2,8 @@
 
 Every ``hyper``, ``limit`` and ``series`` command recorded in
 ``bench/references.json`` is run in-process and its JSON output compared
-with the reference.
+with the reference.  The frontier outputs in ``tests/data`` are compared byte
+for byte.
 """
 
 import json
@@ -12,9 +13,8 @@ import pytest
 
 from disczeta import cli
 
-REFERENCES = json.loads(
-    (Path(__file__).resolve().parent.parent / "bench" / "references.json").read_text()
-)
+HERE = Path(__file__).resolve().parent
+REFERENCES = json.loads((HERE.parent / "bench" / "references.json").read_text())
 KEYS = sorted(key for key in REFERENCES if key.split()[0] in ("hyper", "limit", "series"))
 
 
@@ -22,3 +22,15 @@ KEYS = sorted(key for key in REFERENCES if key.split()[0] in ("hyper", "limit", 
 def test_cli_output_matches_reference(key, capsys):
     assert cli.main(key.split() + ["--json"]) == 0
     assert json.loads(capsys.readouterr().out) == REFERENCES[key]
+
+
+FRONTIER = {
+    "zetainv_trunc16.json": "series zetainv --trunc 16 --json",
+    "zetainv_P2_count_q3_trunc14.json": "series zetainv --X P2 --spec count:q=3 --trunc 14 --json",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRONTIER))
+def test_frontier_output_is_byte_identical(name, capsys):
+    assert cli.main(FRONTIER[name].split()) == 0
+    assert capsys.readouterr().out == (HERE / "data" / name).read_text()

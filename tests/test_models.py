@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from disczeta import genfun as G
 from disczeta import models as Mo
 from disczeta.errors import InputError, ModelDataError
 from disczeta.motive import LaurentL, MotivicClass
@@ -130,6 +131,65 @@ class TestSpecializeClass:
         assert X.specialize(a * b, spec) == X.specialize(a, spec) * X.specialize(b, spec)
 
 
+
+def substitute_per_factor(c: MotivicClass, sym_value, l_value):
+    """Reference for ``substitute_syms``: every monomial multiplied out one S_i at a time."""
+    total = 0
+    for key, v in c.terms:
+        part = LaurentL({key[:1]: v})
+        if l_value is not None:
+            part = part.substitute(l_value)
+        for i, e in enumerate(key[1:], start=1):
+            for _ in range(e):
+                part = part * sym_value(i)
+        total = total + part
+    return total
+
+
+def sample_classes():
+    """w-classes of small profiles, some times powers of L."""
+    for profile in [(1,), (2,), (1, 1), (2, 1), (1, 1, 1), (3, 2, 1), (2, 2, 1, 1), (1,) * 6, (4, 2, 1, 1)]:
+        w = G._w_profile(profile)
+        yield w
+        yield w * MotivicClass.lefschetz(-2) - 3 * MotivicClass.lefschetz(1) + w * w
+
+
+TARGETS = [
+    (XModel.proj_line(), Specialization(COUNT, 3)),
+    (XModel.proj_space(2), Specialization(COUNT, 2)),
+    (XModel.proj_line(), Specialization(MOTIVIC)),
+    (XModel.proj_space(2), Specialization(MOTIVIC)),
+    (XModel.affine_space(1), Specialization(HODGE)),
+    (XModel.proj_space(2), Specialization(HODGE)),
+]
+TARGET_IDS = [f"{X.label()}-{spec}" for X, spec in TARGETS]
+
+
+class TestSubstituteSyms:
+    @pytest.mark.parametrize("X, spec", TARGETS, ids=TARGET_IDS)
+    def test_matches_the_per_factor_product(self, X, spec):
+        for c in sample_classes():
+            expect = substitute_per_factor(c, lambda i: X.sym(i, spec), X.L_image(spec))
+            assert X.specialize(c, spec) == expect
+
+    @pytest.mark.parametrize("X, spec", TARGETS, ids=TARGET_IDS)
+    def test_one_sym_call_per_distinct_power(self, X, spec, monkeypatch):
+        calls = []
+        sym = XModel.sym
+
+        def counting_sym(self, n, spec=None):
+            calls.append(n)
+            return sym(self, n, spec)
+
+        monkeypatch.setattr(XModel, "sym", counting_sym)
+        for c in sample_classes():
+            powers = {(i, e) for key, _ in c.terms for i, e in enumerate(key[1:], start=1) if e}
+            calls.clear()
+            X.specialize(c, spec)
+            assert len(calls) <= len(powers)
+            assert set(calls) <= {i for i, _ in powers}
+
+
 class TestChecks:
     @pytest.mark.parametrize("chi", [-2, -1, 0, 1, 2, 3])
     def test_macdonald(self, chi):
@@ -207,6 +267,15 @@ class TestUVPoly:
         for _ in range(n):
             expect = expect * a
         assert a**n == expect
+
+    @given(st.integers(min_value=-4, max_value=4), uvpolys())
+    @settings(max_examples=60)
+    def test_integer_scalars(self, n, a):
+        got = n * a
+        assert type(got) is UVPoly
+        assert got.terms == (a * n).terms == UVPoly.combination([(n, a)]).terms
+        assert all(v for _, v in got.terms)
+        assert (0 * a).terms == (a * 0).terms == ()
 
     def test_negative_powers_only_for_unit_monomials(self):
         m = UVPoly.term(-1, 2, -1)

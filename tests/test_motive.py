@@ -145,6 +145,33 @@ class TestCombination:
         assert c == n * a and hash(c) == hash(n * a)
 
 
+
+def check_integer_scalar(n, x):
+    """n * x, x * n and combination([(n, x)]) are one value with no zero coefficient."""
+    got = n * x
+    assert type(got) is type(x)
+    assert got.terms == (x * n).terms == type(x).combination([(n, x)]).terms
+    assert all(v for _, v in got.terms)
+    assert (0 * x).terms == (x * 0).terms == ()
+
+
+class TestIntegerScalars:
+    @given(st.integers(min_value=-4, max_value=4), classes())
+    @settings(max_examples=60, deadline=None)
+    def test_motivic_class(self, n, x):
+        check_integer_scalar(n, x)
+
+    @given(st.integers(min_value=-4, max_value=4), laurents())
+    @settings(max_examples=60)
+    def test_laurent(self, n, x):
+        check_integer_scalar(n, x)
+
+    def test_scaling_is_term_by_term(self):
+        x = MotivicClass.sym(2) * MotivicClass.lefschetz(-1) - 2 * MotivicClass.sym(1) + 5
+        assert (3 * x).terms == tuple((k, 3 * v) for k, v in x.terms)
+        assert (-1 * x) == -x
+
+
 def ts(*coeffs, grading=M.GRADING_MULT):
     return TruncSeries.from_coeffs(coeffs, grading)
 

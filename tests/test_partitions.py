@@ -8,6 +8,8 @@ from disczeta import partitions as P
 from disczeta.errors import InputError
 from disczeta.partitions import GenPartition, Part
 
+from chains import ll_chains
+
 
 def gp(*values):
     return GenPartition.integers(values)
@@ -236,7 +238,7 @@ class TestEnumerations:
 
 class TestChains:
     def test_11(self):
-        chains = P.ll_chains(gp(1, 1))
+        chains = ll_chains(gp(1, 1))
         assert len(chains) == 2
         lengths = sorted(len(c) - 1 for c in chains)
         assert lengths == [0, 1]
@@ -244,17 +246,17 @@ class TestChains:
         assert P.multiplicity_profile(long[1]) == (1,)
 
     def test_single_part(self):
-        assert P.ll_chains(gp(7)) == [(gp(7),)]
+        assert ll_chains(gp(7)) == [(gp(7),)]
 
     def test_111_has_four_chains(self):
-        chains = P.ll_chains(gp(1, 1, 1))
+        chains = ll_chains(gp(1, 1, 1))
         assert len(chains) == 4
 
     @given(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=4))
     @settings(max_examples=40, deadline=None)
     def test_chain_steps_shrink(self, values):
         lam = gp(*values)
-        for chain in P.ll_chains(lam):
+        for chain in ll_chains(lam):
             for prev, nxt in zip(chain, chain[1:]):
                 assert len(nxt) < len(prev)
                 assert P.leq(P.formalize(prev), nxt)
