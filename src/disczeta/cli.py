@@ -283,13 +283,15 @@ def cmd_oracle(args) -> int:
         params = {"op": "intdensity", "a": args.a, "b": args.b, "r": args.r, "bound": args.bound}
 
         def work():
+            # the prediction's exact denominator has thousands of digits: it is
+            # reported as a float, and its guard runs before the sieve
+            pred = O.power_density_prediction(args.a, args.b, args.r, guard=guard)
             density = O.integer_power_density(args.a, args.b, args.r, args.bound, max(guard, args.bound))
-            pred = O.power_density_prediction(args.a, args.b, args.r)
             return {
                 "fraction": _json_value(density),
-                "prediction": _json_value(pred["value"]),
-                "prediction_tail_bound": _json_value(pred["tail_bound"]),
-                "deviation": _json_value(abs(density - pred["value"])),
+                "prediction": float(pred["value"]),
+                "prediction_tail_bound": float(pred["tail_bound"]),
+                "deviation": float(abs(density - pred["value"])),
                 "note": pred["note"],
             }
 

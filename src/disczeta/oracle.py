@@ -1,17 +1,21 @@
 """Independent brute-force ground truth.
 
 Everything here is exhaustive and exact: finite fields built from explicit
-irreducible moduli, polynomial enumeration, binary-form divisors on the
-projective line, and integer sieves.  Nothing is shared with the
+irreducible moduli, polynomial enumeration, configurations of closed points
+on A^1 and P^1, and integer sieves.  Nothing is shared with the
 generating-function engine, so agreement between the two is meaningful
 evidence.
 
-The Sym^n_s and hypersurface counts classify polynomials by a sieve: every
-monic irreducible g adds deg g at each multiple g^2 h of its square, which
-gives every monic polynomial of degree d its number of multiple points in
-one table of q^d bytes, once per (q, d).  The Yun-style
-``squarefree_decomposition`` stays as the reference that the tests hold
-the sieve to, polynomial by polynomial.
+One multiplication kernel, ``_mark_multiples``, adds a weight at the code of
+g*h for every monic h of a degree; each step changes one coefficient of h,
+so only deg g + 1 coefficients of the product.  ``monic_irreducibles`` is a
+sieve of Eratosthenes on it, and so is the Sym^n_s and hypersurface
+classification: every monic irreducible g adds deg g at each g^2 h, which
+gives every monic of degree d its number of multiple points in one table of
+q^d bytes, once per (q, d).  The configurations w_lambda are tuples of
+pairwise-disjoint sets of closed points: the monic irreducibles, and
+infinity on P^1.  The gcd routes (``squarefree_decomposition``,
+``is_squarefree``) stay as the reference the tests hold the sieves to.
 
 Enumerations refuse to start when the state space exceeds the guard
 (default 10^7 states) rather than truncating silently; the guard also
@@ -21,6 +25,7 @@ bounds the sieve's table.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -30,11 +35,11 @@ DEFAULT_GUARD = 10**7
 MAX_GUARD = 10**8
 
 
-def _check_guard(states: int, guard: int) -> None:
+def _check_guard(states: int, guard: int, unit: str = "states") -> None:
     if guard > MAX_GUARD:
         raise InputError(f"guards cannot be raised past {MAX_GUARD}")
     if states > guard:
-        raise GuardExceeded(f"enumeration needs {states} states, guard is {guard}")
+        raise GuardExceeded(f"enumeration needs {states} {unit}, guard is {guard}")
 
 
 # ---------------------------------------------------------------------------
@@ -68,29 +73,13 @@ def _fp_poly_mod(a: tuple, m: tuple, p: int) -> tuple:
     return tuple(a)
 
 
-def _fp_irreducible(m: tuple, p: int) -> bool:
-    # trial division by all monic polynomials of degree <= deg(m)/2
-    deg = len(m) - 1
-    for d in range(1, deg // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            g = tuple(tail) + (1,)
-            if _fp_poly_mod(m, g, p) == (0,):
-                return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def _modulus(p: int, k: int) -> tuple:
     """Deterministic irreducible modulus of degree k over F_p: the monic
     polynomial whose coefficient vector encodes the smallest integer."""
     if k == 1:
         return (0, 1)
-    for code in range(p**k):
-        tail = tuple((code // p**i) % p for i in range(k))
-        m = tail + (1,)
-        if _fp_irreducible(m, p):
-            return m
-    raise InputError(f"no irreducible modulus found for p={p}, k={k}")
+    return min((g for g in monic_irreducibles(p, k) if len(g) == k + 1), key=lambda g: g[::-1])
 
 
 class FiniteField:
@@ -118,13 +107,8 @@ class FiniteField:
                 m = _fp_poly_mod(_fp_poly_mul(pa, pb, p), self.modulus, p)
                 self._add[a][b] = self._add[b][a] = self._encode(s)
                 self._mul[a][b] = self._mul[b][a] = self._encode(m)
-        self._inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self._mul[a][b] == 1:
-                    self._inv[a] = b
-                    break
-        self._neg = [self._encode(tuple((-x) % p for x in self._decode(a))) for a in range(q)]
+        self._inv = [0] + [row.index(1) for row in self._mul[1:]]
+        self._neg = [row.index(0) for row in self._add]
         self._sub = [[self._add[a][self._neg[b]] for b in range(q)] for a in range(q)]
 
     def _decode(self, a: int) -> tuple:
@@ -285,10 +269,52 @@ def squarefree_decomposition(F: FiniteField, f: tuple) -> dict[int, tuple]:
     return out
 
 
+def _ruler(p: int, n: int) -> bytes:
+    """The digit that changes at each step of the p-ary Gray code on n digits.
+
+    Step t changes digit v, the number of times p divides t, by +1 mod p; the
+    p^n - 1 steps visit every digit vector once.
+    """
+    steps = b""
+    for v in range(n):
+        steps = (steps + bytes([v])) * (p - 1) + steps
+    return steps
+
+
+def _mark_multiples(F: FiniteField, table: bytearray, g: tuple, d: int, weight: int) -> None:
+    """Add ``weight`` at the code of g*h for every monic h of degree d - deg g.
+
+    A monic of degree d has the base-q number of its tail as code.  h starts
+    at x^m, m = d - deg g, and its k*m digits over F_p run in Gray-code
+    order: each step adds beta*x^j to h (beta in the F_p-basis of F_q, j < m),
+    so the product gains beta*x^j*g and only deg g + 1 of its coefficients
+    change, with their share of the code.
+    """
+    q = F.q
+    m = d - poly_deg(g)
+    place = [q**i for i in range(d)]
+    c = [0] * m + list(g[:-1])  # the tail of x^m * g
+    code = sum(x * y for x, y in zip(c, place))
+    table[code] += weight
+    # per F_p-digit of h: each coefficient i that beta*x^j*g changes, as (i, the map c_i -> c_i + y, q^i)
+    moves = [
+        [(i, F._add[y], place[i]) for i, y in enumerate((F._mul[F.p**l][y] for y in g), j) if y]
+        for j in range(m)
+        for l in range(F.k)
+    ]
+    for digit in _ruler(F.p, F.k * m):
+        for i, new, step in moves[digit]:
+            x = c[i]
+            c[i] = y = new[x]
+            code += (y - x) * step
+        table[code] += weight
+
+
 @lru_cache(maxsize=None)
 def monic_irreducibles(q: int, max_deg: int) -> tuple[tuple, ...]:
-    """All monic irreducible polynomials over F_q of degree 1..max_deg,
-    built by sieving monics against lower-degree irreducibles.
+    """All monic irreducible polynomials over F_q of degree 1..max_deg, by a
+    sieve of Eratosthenes: in degree d every irreducible g with deg g <= d/2
+    marks its multiples g*h, and the unmarked monics are irreducible.
 
     Each degree is checked complete against Gauss's count in its un-inverted
     form, sum over e | d of e * #(irreducibles of degree e) = q^d, which fixes
@@ -297,28 +323,16 @@ def monic_irreducibles(q: int, max_deg: int) -> tuple[tuple, ...]:
     F = field(q)
     irr: list[tuple] = []
     for d in range(1, max_deg + 1):
-        for tail in itertools.product(range(q), repeat=d):
-            f = tuple(tail) + (1,)
-            composite = False
-            for g in irr:
-                if poly_deg(g) > d // 2:
-                    break
-                if poly_divmod(F, f, g)[1] == (0,):
-                    composite = True
-                    break
-            if not composite:
-                irr.append(f)
-        irr.sort(key=lambda g: (poly_deg(g), g))
+        table = bytearray(q**d)
+        for g in irr:
+            if poly_deg(g) > d // 2:
+                break
+            _mark_multiples(F, table, g, d, 1)
+        irr += sorted(tuple((c // q**i) % q for i in range(d)) + (1,) for c, hit in enumerate(table) if not hit)
         points = sum(poly_deg(g) for g in irr if d % poly_deg(g) == 0)
         if points != q**d:
             raise InternalCheckError(f"irreducibles over F_{q} up to degree {d} miss Gauss's count q^{d}")
     return tuple(irr)
-
-
-def multiple_point_count(F: FiniteField, f: tuple) -> int:
-    """Number of geometric roots of multiplicity >= 2 (an irreducible factor
-    of degree e with multiplicity >= 2 contributes e points)."""
-    return sum(poly_deg(g) for m, g in squarefree_decomposition(F, f).items() if m >= 2)
 
 
 def is_squarefree(F: FiniteField, f: tuple) -> bool:
@@ -331,27 +345,7 @@ def is_squarefree(F: FiniteField, f: tuple) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# divisors on A^1 and P^1
-
-
-def monic_polys(q: int, deg: int):
-    """All monic polynomials of the given degree (constant 1 for degree 0)."""
-    for tail in itertools.product(range(q), repeat=deg):
-        yield tuple(tail) + (1,)
-
-
-def divisors(X: str, q: int, deg: int):
-    """Effective divisors of the given degree: (monic poly, multiplicity of
-    infinity); on the affine line infinity never appears."""
-    if X == "A1":
-        for f in monic_polys(q, deg):
-            yield f, 0
-    elif X == "P1":
-        for e in range(deg + 1):
-            for f in monic_polys(q, deg - e):
-                yield f, e
-    else:
-        raise InputError(f"unknown oracle space {X!r}; use A1 or P1")
+# configurations of closed points on A^1 and P^1
 
 
 def _divisor_count(X: str, q: int, deg: int) -> int:
@@ -363,38 +357,44 @@ def _divisor_count(X: str, q: int, deg: int) -> int:
 def count_w_lambda(X: str, q: int, lam, guard: int = DEFAULT_GUARD) -> int:
     """#w_lambda(F_q) on A^1 or P^1 by exhaustive enumeration.
 
-    Picks one effective divisor of degree m_a per distinct value a of lambda
-    (m_a the multiplicity of a), each squarefree with pairwise disjoint
-    supports; infinity counts as a point of P^1.
+    Picks one reduced divisor of degree m_a per distinct value a of lambda
+    (m_a the multiplicity of a), with pairwise disjoint supports.  A reduced
+    divisor is a bitmask over the closed points in ascending degree: the
+    monic irreducibles of degree <= max m_a, and infinity on P^1.  The guard
+    counts all effective divisors, as an enumeration of polynomials would.
     """
-    lam = tuple(sorted(lam))
     if q > 16:
         raise InputError("count_w_lambda is built for q <= 16")
-    degrees = [len(list(g)) for _, g in itertools.groupby(lam)]
-    states = 1
-    for m in degrees:
-        states *= _divisor_count(X, q, m)
-    _check_guard(states, guard)
-    F = field(q)
-    square_free_divs = []
-    for m in degrees:
-        good = []
-        for f, e in divisors(X, q, m):
-            if e <= 1 and is_squarefree(F, f):
-                good.append((f, e))
-        square_free_divs.append(good)
-    count = 0
-    for combo in itertools.product(*square_free_divs):
-        if sum(e for _, e in combo) > 1:
-            continue  # at most one divisor may use infinity, once
-        ok = True
-        for (f1, _), (f2, _) in itertools.combinations(combo, 2):
-            if poly_deg(poly_gcd(F, f1, f2)) > 0:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+    degrees = sorted(len(list(g)) for _, g in itertools.groupby(sorted(lam)))
+    _check_guard(math.prod(_divisor_count(X, q, m) for m in degrees), guard)
+    if X not in ("A1", "P1"):
+        raise InputError(f"unknown oracle space {X!r}; use A1 or P1")
+    irr = monic_irreducibles(q, max(degrees, default=0))
+    points = [1] * (X == "P1") + [poly_deg(g) for g in irr]
+    # a point of degree above the second-largest m_a fits in one divisor of
+    # the tuple only, so it needs no bit
+    shared = degrees[-2] if len(degrees) > 1 else 0
+    bits = [1 << i if e <= shared else 0 for i, e in enumerate(points)]
+    masks: dict[int, list[int]] = {m: [] for m in degrees}
+
+    def divisors(m: int, room: int, start: int, mask: int) -> None:
+        if room == 0:
+            masks[m].append(mask)
+            return
+        for i in range(start, len(points)):
+            if points[i] > room:
+                break  # every later point is at least as large
+            divisors(m, room - points[i], i + 1, mask | bits[i])
+
+    for m in masks:
+        divisors(m, m, 0, 0)
+
+    def tuples(i: int, used: int) -> int:
+        if i == len(degrees):
+            return 1
+        return sum(tuples(i + 1, used | mask) for mask in masks[degrees[i]] if not mask & used)
+
+    return tuples(0, 0)
 
 
 def _multiple_point_sieve(q: int, d: int) -> bytearray:
@@ -408,13 +408,7 @@ def _multiple_point_sieve(q: int, d: int) -> bytearray:
     F = field(q)
     table = bytearray(q**d)
     for g in monic_irreducibles(q, d // 2):
-        e = poly_deg(g)
-        g2 = poly_mul(F, g, g)
-        for h in monic_polys(q, d - 2 * e):
-            code = 0
-            for c in reversed(poly_mul(F, g2, h)[:-1]):
-                code = code * q + c
-            table[code] += e
+        _mark_multiples(F, table, poly_mul(F, g, g), d, poly_deg(g))
     return table
 
 
@@ -509,8 +503,7 @@ def integer_power_density(a: int, b: int, r: int, bound: int, guard: int = MAX_G
 
     def mark_tuples(base: int, remaining: int, min_prime_idx: int) -> None:
         if remaining == 0:
-            for m in range(base, bound + 1, base):
-                marked[m] = 1
+            marked[base::base] = b"\x01" * (bound // base)
             return
         for idx in range(min_prime_idx, len(primes)):
             nxt = base * primes[idx] ** b
@@ -523,38 +516,45 @@ def integer_power_density(a: int, b: int, r: int, bound: int, guard: int = MAX_G
         if pa > bound:
             break
         mark_tuples(pa, r, 0)
-    return Fraction(sum(marked), bound)
+    return Fraction(marked.count(1), bound)
 
 
 def zeta_value(s: int, terms: int = 10**4) -> tuple[Fraction, Fraction]:
     """(truncated sum of n^-s, tail bound)."""
     if s < 2:
         raise InputError("zeta_value needs s >= 2")
-    # Pairwise sums keep the denominators small: like a binary counter, the
-    # n-th term merges with the last partial once per trailing zero of n.
+    # Each block of 16 terms is one integer sum over the common denominator
+    # lcm(block)^s.  Pairwise sums of the blocks keep the denominators small:
+    # like a binary counter, the i-th block merges with the last partial once
+    # per trailing zero of i.
     partials: list[Fraction] = []
-    for n in range(1, terms + 1):
-        part, m = Fraction(1, n**s), n
-        while m % 2 == 0:
+    for i, start in enumerate(range(1, terms + 1, 16), 1):
+        block = range(start, min(start + 16, terms + 1))
+        den = math.lcm(*block) ** s
+        part = Fraction(sum(den // n**s for n in block), den)
+        while i % 2 == 0:
             part += partials.pop()
-            m //= 2
+            i //= 2
         partials.append(part)
     total = sum(partials, Fraction(0))
     tail = Fraction(1, (s - 1) * terms ** (s - 1))
     return total, tail
 
 
-def power_density_prediction(a: int, b: int, r: int, prime_bound: int = 10**5) -> dict:
+def power_density_prediction(a: int, b: int, r: int, prime_bound: int = 10**5, guard: int = DEFAULT_GUARD) -> dict:
     """The zeta-value expression for the at-least-(a b^r)-power density, with
     all zeta arguments taken positive.
 
     1 - (1/zeta(b)) sum_{i<r} P_i - P_r / zeta(a), where P_i is the truncated
     sum over p_1 <= ... <= p_i of (p_1 ... p_i)^-b.  Returns the value and a
-    tail bound; the empirical sieve adjudicates the sign conventions.
+    tail bound; the empirical sieve adjudicates the sign conventions.  P_r
+    has C(pi(prime_bound) + r - 1, r) terms before pruning, and the guard
+    bounds that count.
     """
     if not (2 <= a <= b) or r < 0:
         raise InputError(f"need 2 <= a <= b and r >= 0, got a={a}, b={b}, r={r}")
     primes = _primes_up_to(prime_bound)
+    _check_guard(math.comb(max(len(primes) + r - 1, 0), r), guard, "multi-prime terms")
 
     def multi_prime_sum(i: int) -> Fraction:
         if i == 0:

@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 
 from disczeta import cli
 
@@ -102,3 +103,43 @@ def test_hyper_multi_rejects_ordered_and_s(capsys):
         assert "--multi cannot be combined with --ordered or --s" in capsys.readouterr().err
     assert cli.main(argv) == 0
     assert "expression: 1/zeta_X(2)" in capsys.readouterr().out
+
+
+INTDENSITY = ["oracle", "--op", "intdensity", "--a", "2", "--b", "2", "--r", "0", "--bound", "1000"]
+NOTE = "zeta arguments taken positive; the source display writes zeta(-a), zeta(-b)"
+
+
+def test_intdensity_reports_the_prediction_as_floats(capsys):
+    assert _output(capsys, INTDENSITY + ["--json"]) == json.dumps(
+        {
+            "command": "oracle",
+            "params": {"a": 2, "b": 2, "bound": 1000, "op": "intdensity", "r": 0},
+            "result": {
+                "deviation": 3.594021101102337e-05,
+                "elapsed_s": None,
+                "fraction": {"float": 0.392, "fraction": "49/125"},
+                "note": NOTE,
+                "prediction": 0.392035940211011,
+                "prediction_tail_bound": 0.00021,
+            },
+        },
+        sort_keys=True,
+    ) + "\n"
+    assert cli.main(INTDENSITY) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:-1] == [
+        'params: {"a": 2, "b": 2, "bound": 1000, "op": "intdensity", "r": 0}',
+        "fraction: {'fraction': '49/125', 'float': 0.392}",
+        "prediction: 0.392035940211011",
+        "prediction_tail_bound: 0.00021",
+        "deviation: 3.594021101102337e-05",
+        f"note: {NOTE}",
+    ]
+    assert lines[-1].startswith("elapsed_s: ")
+
+
+def test_intdensity_prediction_guard(capsys):
+    start = time.monotonic()
+    assert cli.main(["oracle", "--op", "intdensity", "--r", "2"]) == 3
+    assert time.monotonic() - start < 1.0
+    assert "46008028 multi-prime terms" in capsys.readouterr().err

@@ -1,9 +1,9 @@
 """CLI output against the recorded reference corpus.
 
-Every ``hyper``, ``limit`` and ``series`` command recorded in
+Every ``hyper``, ``limit``, ``series`` and ``oracle`` command recorded in
 ``bench/references.json`` is run in-process and its JSON output compared
-with the reference.  The frontier outputs in ``tests/data`` are compared byte
-for byte.
+with the reference (``oracle`` without its wall-clock ``elapsed_s``).  The
+frontier outputs in ``tests/data`` are compared byte for byte.
 """
 
 import json
@@ -16,12 +16,22 @@ from disczeta import cli
 HERE = Path(__file__).resolve().parent
 REFERENCES = json.loads((HERE.parent / "bench" / "references.json").read_text())
 KEYS = sorted(key for key in REFERENCES if key.split()[0] in ("hyper", "limit", "series"))
+ORACLE_KEYS = sorted(key for key in REFERENCES if key.split()[0] == "oracle")
 
 
 @pytest.mark.parametrize("key", KEYS)
 def test_cli_output_matches_reference(key, capsys):
     assert cli.main(key.split() + ["--json"]) == 0
     assert json.loads(capsys.readouterr().out) == REFERENCES[key]
+
+
+@pytest.mark.parametrize("key", ORACLE_KEYS)
+def test_oracle_output_matches_reference(key, capsys, monkeypatch):
+    monkeypatch.delenv("DISCZETA_CACHE", raising=False)
+    assert cli.main(key.split() + ["--json"]) == 0
+    output = json.loads(capsys.readouterr().out)
+    output["result"].pop("elapsed_s")
+    assert output == REFERENCES[key]
 
 
 FRONTIER = {

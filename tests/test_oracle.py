@@ -40,6 +40,21 @@ class TestFiniteField:
                     powed = F.mul(powed, r)
                 assert powed == a
 
+    def test_modulus_has_the_smallest_code(self):
+        # the moduli that trial division in code order picks
+        expect = {
+            4: (1, 1, 1),
+            8: (1, 1, 0, 1),
+            9: (1, 0, 1),
+            16: (1, 1, 0, 0, 1),
+            25: (2, 0, 1),
+            27: (1, 2, 0, 1),
+            32: (1, 0, 1, 0, 0, 1),
+            49: (1, 0, 1),
+            64: (1, 1, 0, 0, 0, 0, 1),
+        }
+        assert {q: O.field(q).modulus for q in expect} == expect
+
     def test_not_prime_power(self):
         with pytest.raises(InputError):
             O.field(6)
@@ -57,7 +72,7 @@ class TestPolynomials:
     def test_squarefree_decomposition_matches_factorization(self, q):
         F = O.field(q)
         for deg in range(1, 7 if q == 2 else 5):
-            for f in O.monic_polys(q, deg):
+            for f in _monic_polys(q, deg):
                 sfd = O.squarefree_decomposition(F, f)
                 fact = _factor_monic(F, f)
                 # rebuild multiplicity -> product of factors with that multiplicity
@@ -75,10 +90,31 @@ class TestPolynomials:
         assert by_deg == {1: 2, 2: 1, 3: 2, 4: 3}
 
     def test_irreducibles_missing_gauss_count_raise(self, monkeypatch):
-        # a division that never leaves remainder 0 lets every monic through
-        monkeypatch.setattr(O, "poly_divmod", lambda F, a, b: ((0,), (1,)))
+        # a kernel that marks no multiple lets every monic through
+        monkeypatch.setattr(O, "_mark_multiples", lambda F, table, g, d, weight: None)
         with pytest.raises(InternalCheckError, match="Gauss"):
             O.monic_irreducibles.__wrapped__(2, 3)
+
+    @pytest.mark.parametrize("q,max_deg", [(2, 8), (3, 5), (4, 4), (9, 3)])
+    def test_irreducibles_match_trial_division(self, q, max_deg):
+        F = O.field(q)
+        expect = []
+        for d in range(1, max_deg + 1):
+            for f in _monic_polys(q, d):
+                if all(O.poly_divmod(F, f, g)[1] != (0,) for g in expect if 2 * O.poly_deg(g) <= d):
+                    expect.append(f)
+        assert O.monic_irreducibles(q, max_deg) == tuple(expect)
+
+    @pytest.mark.parametrize("q,d", [(2, 7), (3, 4), (4, 3), (5, 3)])
+    def test_mark_multiples_marks_each_product_once(self, q, d):
+        F = O.field(q)
+        for g in O.monic_irreducibles(q, d):
+            table = bytearray(q**d)
+            O._mark_multiples(F, table, g, d, 3)
+            expect = bytearray(q**d)
+            for h in _monic_polys(q, d - O.poly_deg(g)):
+                expect[_code(O.poly_mul(F, g, h), q)] += 3
+            assert table == expect, (q, g)
 
     @pytest.mark.parametrize("q,max_deg", [(2, 8), (3, 5), (4, 5)])
     def test_sieve_matches_squarefree_decomposition(self, q, max_deg):
@@ -86,9 +122,25 @@ class TestPolynomials:
         F = O.field(q)
         for d in range(max_deg + 1):
             table = O._multiple_point_sieve(q, d)
-            for f in O.monic_polys(q, d):
-                code = sum(c * q**i for i, c in enumerate(f[:-1]))
-                assert table[code] == O.multiple_point_count(F, f), (q, f)
+            for f in _monic_polys(q, d):
+                assert table[_code(f, q)] == _multiple_point_count(F, f), (q, f)
+
+
+def _multiple_point_count(F, f):
+    """Number of geometric roots of multiplicity >= 2 (an irreducible factor
+    of degree e with multiplicity >= 2 contributes e points)."""
+    return sum(O.poly_deg(g) for m, g in O.squarefree_decomposition(F, f).items() if m >= 2)
+
+
+def _monic_polys(q, deg):
+    """All monic polynomials of the given degree (constant 1 for degree 0)."""
+    for tail in itertools.product(range(q), repeat=deg):
+        yield tuple(tail) + (1,)
+
+
+def _code(f, q):
+    """The base-q code of the tail of the monic f, as the sieves index it."""
+    return sum(c * q**i for i, c in enumerate(f[:-1]))
 
 
 def _factor_monic(F, f):
@@ -135,6 +187,21 @@ class TestCountWLambda:
                 expect = xm.specialize(G.w_class(GenPartition.integers(lam)), spec)
                 assert got == expect, (q, X, lam)
 
+    def test_sixteen_quartics(self):
+        # squarefree monic quartics over F_16: q^4 - q^3
+        assert O.count_w_lambda("A1", 16, (1, 1, 1, 1)) == 61440
+
+    def test_unknown_space(self):
+        with pytest.raises(InputError):
+            O.count_w_lambda("P2", 3, (1, 2))
+
+    @pytest.mark.parametrize("q,max_total", [(2, 6), (3, 6), (4, 6), (5, 4)])
+    @pytest.mark.parametrize("X", ["A1", "P1"])
+    def test_closed_points_match_gcd_route(self, X, q, max_total):
+        for total in range(max_total + 1):
+            for lam in _partitions_of(total):
+                assert O.count_w_lambda(X, q, lam) == _count_w_lambda_by_gcd(X, q, lam), (X, q, lam)
+
     def test_wbar_12233_oracle(self):
         # closure sum for lambda = 1^2 2^2 3 on the affine line: the paper's
         # displayed L^5 - L^2 + L has a sign typo; enumeration fixes the value
@@ -144,6 +211,32 @@ class TestCountWLambda:
             for mu in pt.merge_closure(lam):
                 total += O.count_w_lambda("A1", q, mu.as_integers())
             assert total == q**5 + q**2 - q
+
+
+def _divisors(X, q, deg):
+    """Effective divisors of the given degree: (monic poly, multiplicity of
+    infinity); on the affine line infinity never appears."""
+    for e in range(deg + 1 if X == "P1" else 1):
+        for f in _monic_polys(q, deg - e):
+            yield f, e
+
+
+def _count_w_lambda_by_gcd(X, q, lam):
+    """count_w_lambda over polynomials: one squarefree divisor of degree m_a
+    per distinct value a of lambda, with pairwise coprime affine parts and
+    infinity used at most once."""
+    F = O.field(q)
+    degrees = [len(list(g)) for _, g in itertools.groupby(sorted(lam))]
+    square_free_divs = [
+        [(f, e) for f, e in _divisors(X, q, m) if e <= 1 and O.is_squarefree(F, f)] for m in degrees
+    ]
+    count = 0
+    for combo in itertools.product(*square_free_divs):
+        if sum(e for _, e in combo) > 1:
+            continue
+        if all(O.poly_deg(O.poly_gcd(F, f1, f2)) == 0 for (f1, _), (f2, _) in itertools.combinations(combo, 2)):
+            count += 1
+    return count
 
 
 def _partitions_of(total):
@@ -223,7 +316,7 @@ def _form_multiple_points(F, coeffs, j):
     affine coefficient vector (a_0, ..., a_j)."""
     f = O.poly_trim(coeffs)
     d = O.poly_deg(f)
-    s = O.multiple_point_count(F, f) if d >= 1 else 0
+    s = _multiple_point_count(F, f) if d >= 1 else 0
     return s + 1 if j - d >= 2 else s
 
 
@@ -272,11 +365,23 @@ class TestIntegerDensity:
         z2, _ = O.zeta_value(2)
         assert abs(pred["value"] - (1 - 1 / z2)) < Fraction(1, 10**6)
 
-    @pytest.mark.parametrize("s", [2, 3])
+    @pytest.mark.parametrize("s", [2, 3, 4])
     def test_zeta_value_is_the_sequential_sum(self, s):
-        total, tail = O.zeta_value(s, terms=3000)
-        assert total == sum((Fraction(1, n**s) for n in range(1, 3001)), Fraction(0))
-        assert tail == Fraction(1, (s - 1) * 3000 ** (s - 1))
+        # around the block boundaries, 16 terms per block
+        for terms in (1, 15, 16, 17, 3000, 3001):
+            total, tail = O.zeta_value(s, terms)
+            assert total == sum((Fraction(1, n**s) for n in range(1, terms + 1)), Fraction(0)), terms
+            assert tail == Fraction(1, (s - 1) * terms ** (s - 1))
+
+    @pytest.mark.parametrize("a,b,r", [(2, 2, 0), (3, 3, 0), (2, 3, 1)])
+    def test_density_matches_divisibility(self, a, b, r):
+        # n <= bound divisible by c_0^a c_1^b ... c_r^b for some integers c_i > 1
+        bound = 10**4
+        moduli = {1}
+        for power in [a] + [b] * r:
+            moduli = {m * c**power for m in moduli for c in range(2, bound + 1) if m * c**power <= bound}
+        direct = sum(any(n % m == 0 for m in moduli) for n in range(1, bound + 1))
+        assert O.integer_power_density(a, b, r, bound) == Fraction(direct, bound)
 
     def test_prediction_vs_sieve_r1(self):
         pred = O.power_density_prediction(2, 2, 1)
