@@ -17,11 +17,10 @@ and the parameters; an unreadable entry counts as a miss.
 from __future__ import annotations
 
 import argparse
-import hashlib
+import gc
 import json
 import os
 import sys
-import tempfile
 import time
 from fractions import Fraction
 
@@ -214,6 +213,8 @@ def _cache_path(params: dict) -> str | None:
     cache_dir = os.environ.get("DISCZETA_CACHE")
     if not cache_dir:
         return None
+    import hashlib  # loads OpenSSL: only cached oracle calls pay for it
+
     os.makedirs(cache_dir, exist_ok=True)
     key_text = json.dumps({"version": __version__, "params": params}, sort_keys=True)
     key = hashlib.sha256(key_text.encode()).hexdigest()[:24]
@@ -232,6 +233,8 @@ def _cache_load(path: str) -> dict | None:
 
 def _cache_store(path: str, result: dict) -> None:
     """Write through a temporary file and rename it, so no reader sees half an entry."""
+    import tempfile
+
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".oracle-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -318,6 +321,8 @@ def cmd_oracle(args) -> int:
     for key in ("counts", "fractions"):
         if key in result:
             rows = [("j", key[:-1])] + [(j, v if not isinstance(v, dict) else v["fraction"]) for j, v in result[key].items()]
+    if rows is None:  # a fraction prints as in hyper and limit, not as its JSON object
+        rows = [(k, _render(Fraction(v["fraction"])) if isinstance(v, dict) else v) for k, v in result.items()]
     _emit(args, "oracle", params, result, rows)
     return 0
 
@@ -421,6 +426,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+
+# A CLI process keeps its modules until it exits: spare every collection the work of rescanning them.
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -33,9 +33,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import partitions as pt
 from .errors import (
@@ -463,8 +463,7 @@ def _ring(X: XModel, spec: Specialization | None) -> _Ring:
 # densities of singular divisors
 
 
-@dataclass(frozen=True)
-class HypersurfaceDensity:
+class HypersurfaceDensity(NamedTuple):
     """A limiting density of divisors in a very positive linear system."""
 
     d: int
@@ -543,8 +542,7 @@ def _check_hyper_args(X: XModel, d: int, s: int = 0) -> None:
 # stable limits of configuration series
 
 
-@dataclass(frozen=True)
-class LimitReport:
+class LimitReport(NamedTuple):
     """A stable-limit value with its cutoff, tail indicator and provenance."""
 
     value: object

@@ -15,8 +15,8 @@ values in :class:`UVPoly`, the ``motive.SparsePoly`` core over exponents
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import InputError, InternalCheckError, ModelDataError
 from .motive import LaurentL, MotivicClass, SparsePoly, TruncSeries
@@ -103,18 +103,22 @@ class UVPoly(SparsePoly):
 UV = UVPoly.term(1, 1, 1)
 
 
-@dataclass(frozen=True)
-class Specialization:
-    """A motivic measure target: where classes get sent."""
-
+class _SpecFields(NamedTuple):
     target: str = MOTIVIC
     q: int | None = None
 
-    def __post_init__(self):
-        if self.target not in (MOTIVIC, COUNT, EULER, HODGE):
-            raise InputError(f"unknown specialization target {self.target!r}")
-        if self.target == COUNT and self.q is not None and self.q < 2:
+
+class Specialization(_SpecFields):
+    """A motivic measure target: where classes get sent."""
+
+    __slots__ = ()
+
+    def __new__(cls, target: str = MOTIVIC, q: int | None = None):
+        if target not in (MOTIVIC, COUNT, EULER, HODGE):
+            raise InputError(f"unknown specialization target {target!r}")
+        if target == COUNT and q is not None and q < 2:
             raise InputError("count specialization needs a prime power q >= 2")
+        return super().__new__(cls, target, q)
 
     @staticmethod
     def parse(text: str) -> "Specialization":
@@ -149,8 +153,7 @@ def generalized_binomial(a: int, k: int) -> int:
     return num // den
 
 
-@dataclass(frozen=True)
-class XModel:
+class XModel(NamedTuple):
     """A variety description rich enough to specialize the classes we build."""
 
     kind: str
@@ -217,16 +220,9 @@ class XModel:
     # -- specialization machinery ------------------------------------------
 
     def natural_spec(self) -> Specialization:
-        return {
-            "affine": Specialization(MOTIVIC),
-            "projline": Specialization(MOTIVIC),
-            "projspace": Specialization(MOTIVIC),
-            "symtable": Specialization(MOTIVIC),
-            "symbolic": Specialization(MOTIVIC),
-            "counts": Specialization(COUNT, self.params[0] if self.kind == "counts" else None),
-            "euler": Specialization(EULER),
-            "hd": Specialization(HODGE),
-        }[self.kind]
+        if self.kind == "counts":
+            return Specialization(COUNT, self.params[0])
+        return _NATURAL_SPECS[self.kind]
 
     def _sym_laurent(self, n: int) -> LaurentL:
         if self.kind == "affine":
@@ -318,6 +314,10 @@ class XModel:
         if self.kind == "symtable":
             return f"symtable(dim={self.dim})"
         return f"symbolic(dim={self.dim})"
+
+
+_NATURAL_SPECS = dict.fromkeys(("affine", "projline", "projspace", "symtable", "symbolic"), Specialization(MOTIVIC))
+_NATURAL_SPECS.update(euler=Specialization(EULER), hd=Specialization(HODGE))
 
 
 @lru_cache(maxsize=None)

@@ -26,7 +26,6 @@ between threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from operator import add
@@ -352,18 +351,34 @@ class MotivicClass(SparsePoly):
         return total
 
 
-@dataclass(frozen=True)
 class TruncSeries:
-    """Power series in t modulo t^(order+1), over any exact coefficient ring."""
+    """Power series in t modulo t^(order+1), over any exact coefficient ring.
+    Immutable, and hashed as the tuple (coeffs, grading)."""
 
-    coeffs: tuple
-    grading: str = GRADING_MULT
+    __slots__ = ("coeffs", "grading")
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, coeffs: tuple, grading: str = GRADING_MULT):
+        if not coeffs:
             raise InputError("a truncated series needs at least the constant coefficient")
-        if self.grading not in (GRADING_MULT, GRADING_POINTS):
-            raise InputError(f"unknown grading {self.grading!r}")
+        if grading not in (GRADING_MULT, GRADING_POINTS):
+            raise InputError(f"unknown grading {grading!r}")
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "grading", grading)
+
+    def __setattr__(self, *_):
+        raise AttributeError("TruncSeries is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        same = other.__class__ is TruncSeries
+        return (self.coeffs, self.grading) == (other.coeffs, other.grading) if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs, self.grading))
+
+    def __repr__(self) -> str:
+        return f"TruncSeries(coeffs={self.coeffs!r}, grading={self.grading!r})"
 
     @property
     def order(self) -> int:

@@ -519,24 +519,31 @@ def integer_power_density(a: int, b: int, r: int, bound: int, guard: int = MAX_G
     return Fraction(marked.count(1), bound)
 
 
-def zeta_value(s: int, terms: int = 10**4) -> tuple[Fraction, Fraction]:
-    """(truncated sum of n^-s, tail bound)."""
-    if s < 2:
-        raise InputError("zeta_value needs s >= 2")
-    # Each block of 16 terms is one integer sum over the common denominator
-    # lcm(block)^s.  Pairwise sums of the blocks keep the denominators small:
-    # like a binary counter, the i-th block merges with the last partial once
-    # per trailing zero of i.
+def _pairwise_sum(terms) -> Fraction:
+    """The exact sum of Fractions, merged pairwise to keep the denominators small:
+    like a binary counter, the i-th term merges with the last partial once per
+    trailing zero of i."""
     partials: list[Fraction] = []
-    for i, start in enumerate(range(1, terms + 1, 16), 1):
-        block = range(start, min(start + 16, terms + 1))
-        den = math.lcm(*block) ** s
-        part = Fraction(sum(den // n**s for n in block), den)
+    for i, part in enumerate(terms, 1):
         while i % 2 == 0:
             part += partials.pop()
             i //= 2
         partials.append(part)
-    total = sum(partials, Fraction(0))
+    return sum(partials, Fraction(0))
+
+
+def zeta_value(s: int, terms: int = 10**4) -> tuple[Fraction, Fraction]:
+    """(truncated sum of n^-s, tail bound)."""
+    if s < 2:
+        raise InputError("zeta_value needs s >= 2")
+
+    def block_sums():  # each block of 16 terms over its common denominator lcm(block)^s
+        for start in range(1, terms + 1, 16):
+            block = range(start, min(start + 16, terms + 1))
+            den = math.lcm(*block) ** s
+            yield Fraction(sum(den // n**s for n in block), den)
+
+    total = _pairwise_sum(block_sums())
     tail = Fraction(1, (s - 1) * terms ** (s - 1))
     return total, tail
 
@@ -559,21 +566,18 @@ def power_density_prediction(a: int, b: int, r: int, prime_bound: int = 10**5, g
     def multi_prime_sum(i: int) -> Fraction:
         if i == 0:
             return Fraction(1)
-        total = Fraction(0)
 
-        def rec(depth: int, start: int, acc: Fraction) -> None:
-            nonlocal total
+        def rec(depth: int, start: int, acc: Fraction):
             if depth == i:
-                total += acc
+                yield acc
                 return
             for idx in range(start, len(primes)):
                 term = acc / primes[idx] ** b
                 if term * len(primes) < Fraction(1, 10**12) and depth + 1 < i:
                     break
-                rec(depth + 1, idx, term)
+                yield from rec(depth + 1, idx, term)
 
-        rec(0, 0, Fraction(1))
-        return total
+        return _pairwise_sum(rec(0, 0, Fraction(1)))
 
     za, za_tail = zeta_value(a)
     zb, zb_tail = zeta_value(b)

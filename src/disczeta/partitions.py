@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InputError
@@ -28,8 +27,7 @@ UNIT = "1"
 _TERM_RE = re.compile(r"^(\d+)?([A-Za-z][A-Za-z0-9_]*)?$")
 
 
-@dataclass(frozen=True)
-class Part:
+class Part(NamedTuple):
     """One element of a generalized partition: a nonzero vector over generators.
 
     ``coeffs`` is stored sorted by generator name with no zero entries, so
@@ -105,11 +103,28 @@ class Part:
 ZERO_PART = Part(())
 
 
-@dataclass(frozen=True)
 class GenPartition:
-    """A finite multiset of parts, stored canonically sorted."""
+    """A finite multiset of parts, stored canonically sorted.  Immutable, hashed
+    as (parts,), and not a tuple: ``genfun.w_class`` reads tuples as profiles."""
 
-    parts: tuple[Part, ...]
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[Part, ...]):
+        object.__setattr__(self, "parts", parts)
+
+    def __setattr__(self, *_):
+        raise AttributeError("GenPartition is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self.parts == other.parts if other.__class__ is GenPartition else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
+
+    def __repr__(self) -> str:
+        return f"GenPartition(parts={self.parts!r})"
 
     @staticmethod
     def of(parts: Iterable[Part]) -> "GenPartition":

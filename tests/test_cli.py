@@ -1,8 +1,13 @@
-"""The CLI: the oracle's on-disk cache (DISCZETA_CACHE) and exit codes."""
+"""The CLI: the oracle's on-disk cache (DISCZETA_CACHE), exit codes, text
+output and the modules that start-up loads."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from disczeta import cli
 
@@ -129,7 +134,7 @@ def test_intdensity_reports_the_prediction_as_floats(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[:-1] == [
         'params: {"a": 2, "b": 2, "bound": 1000, "op": "intdensity", "r": 0}',
-        "fraction: {'fraction': '49/125', 'float': 0.392}",
+        "fraction: 49/125 = 0.392",
         "prediction: 0.392035940211011",
         "prediction_tail_bound: 0.00021",
         "deviation: 3.594021101102337e-05",
@@ -143,3 +148,29 @@ def test_intdensity_prediction_guard(capsys):
     assert cli.main(["oracle", "--op", "intdensity", "--r", "2"]) == 3
     assert time.monotonic() - start < 1.0
     assert "46008028 multi-prime terms" in capsys.readouterr().err
+
+
+def test_oracle_text_renders_fractions_like_hyper(capsys):
+    assert cli.main(["oracle", "--op", "hyper", "--q", "2", "--j", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:-1] == ['params: {"j": 3, "op": "hyper", "q": 2, "s": 0}', "fraction: 3/8 = 0.375"]
+    assert lines[-1].startswith("elapsed_s: ")
+    assert cli.main(["hyper", "--X", "counts:q=2", "--d", "1", "--cutoff", "0"]) == 0
+    assert "value: 1/2 = 0.5" in capsys.readouterr().out  # the same rendering
+    assert cli.main(["oracle", "--op", "hyper", "--q", "2", "--j", "3", "--csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "fraction,3/8 = 0.375"
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_startup_loads_neither_dataclasses_nor_openssl():
+    # -S: only the modules the package itself asks for, not those of site hooks
+    code = (
+        "import gc, sys, disczeta.cli as cli; cli.build_parser(); "
+        "print(sorted({'dataclasses', 'inspect', 'hashlib', '_hashlib'} & set(sys.modules))); "
+        "print(gc.get_freeze_count() > 0)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["[]", "True"]  # and the imported modules are out of the collector's scans

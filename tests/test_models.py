@@ -67,6 +67,26 @@ class TestSymClasses:
         X = XModel.symbolic()
         assert X.sym(4) == MotivicClass.sym(4)
 
+    def test_natural_spec_of_every_kind(self):
+        expect = {
+            XModel.affine_space(2): Specialization(MOTIVIC),
+            XModel.proj_line(): Specialization(MOTIVIC),
+            XModel.proj_space(3): Specialization(MOTIVIC),
+            XModel.sym_table([LaurentL.from_int(1)], 1): Specialization(MOTIVIC),
+            XModel.symbolic(): Specialization(MOTIVIC),
+            XModel.point_counts(5): Specialization(COUNT, 5),
+            XModel.point_counts(7, counts=[8]): Specialization(COUNT, 7),
+            XModel.euler_char(-1): Specialization(EULER),
+            XModel.hodge_deligne("1+uv"): Specialization(HODGE),
+        }
+        assert {X.kind for X in expect} == {"affine", "projline", "projspace", "symtable", "symbolic",
+                                            "counts", "euler", "hd"}
+        for X, spec in expect.items():
+            assert type(X.natural_spec()) is Specialization
+            assert X.natural_spec() == spec
+        with pytest.raises(KeyError):
+            XModel("bogus", 1).natural_spec()
+
 
 class TestRedundantEncodings:
     def test_projline_three_ways(self):

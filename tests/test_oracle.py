@@ -383,6 +383,36 @@ class TestIntegerDensity:
         direct = sum(any(n % m == 0 for m in moduli) for n in range(1, bound + 1))
         assert O.integer_power_density(a, b, r, bound) == Fraction(direct, bound)
 
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_prediction_is_the_sequential_sum(self, r, monkeypatch):
+        # at b = 8 the pruning break fires for P_2 at this small prime bound
+        # (p_1 > 50); the zeta values, checked above, are stubbed to save time
+        a, b, prime_bound = 3, 8, 200
+        za, zb = Fraction(6, 5), Fraction(1009, 1000)
+        monkeypatch.setattr(O, "zeta_value", lambda s: ({a: za, b: zb}[s], Fraction(0)))
+        primes = [p for p in range(2, prime_bound + 1) if all(p % d for d in range(2, p))]
+
+        def multi_prime_sum(i):
+            total = Fraction(0)
+
+            def rec(depth, start, acc):
+                nonlocal total
+                if depth == i:
+                    total += acc
+                    return
+                for idx in range(start, len(primes)):
+                    term = acc / primes[idx] ** b
+                    if term * len(primes) < Fraction(1, 10**12) and depth + 1 < i:
+                        break
+                    rec(depth + 1, idx, term)
+
+            rec(0, 0, Fraction(1))
+            return total
+
+        middle = sum((multi_prime_sum(i) for i in range(r)), Fraction(0))
+        expect = 1 - middle / zb - multi_prime_sum(r) / za
+        assert O.power_density_prediction(a, b, r, prime_bound)["value"] == expect
+
     def test_prediction_vs_sieve_r1(self):
         pred = O.power_density_prediction(2, 2, 1)
         emp = O.integer_power_density(2, 2, 1, 10**6)
