@@ -23,6 +23,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 from . import __version__
 from . import genfun as G
@@ -102,7 +103,7 @@ def cmd_series(args) -> int:
     elif args.kind == "zetainv":
         lam = GenPartition.parse(args.lam) if args.lam else GenPartition.empty()
         params["lambda"] = str(lam)
-        series = G.zinv_profiles(X, lam, n, spec)
+        series = G.zinv_profiles(X, lam, n, spec, args.guard)
     elif args.kind == "k":
         nu = _parse_int_partition(args.nu) if args.nu else ()
         params["nu"] = ",".join(map(str, nu)) or "-"
@@ -317,12 +318,11 @@ def cmd_oracle(args) -> int:
                 result[key] = {int(j): v for j, v in result[key].items()}
     result["elapsed_s"] = round(time.monotonic() - start, 3)
 
-    rows = None
+    cell = lambda v: _render(Fraction(v["fraction"])) if isinstance(v, dict) and "fraction" in v else v
+    rows = [(k, cell(v)) for k, v in result.items()]  # a fraction prints as in hyper and limit
     for key in ("counts", "fractions"):
         if key in result:
-            rows = [("j", key[:-1])] + [(j, v if not isinstance(v, dict) else v["fraction"]) for j, v in result[key].items()]
-    if rows is None:  # a fraction prints as in hyper and limit, not as its JSON object
-        rows = [(k, _render(Fraction(v["fraction"])) if isinstance(v, dict) else v) for k, v in result.items()]
+            rows = [("j", key[:-1])] + [(j, cell(v)) for j, v in result[key].items()]
     _emit(args, "oracle", params, result, rows)
     return 0
 
@@ -340,6 +340,7 @@ def cmd_verify(args) -> int:
     return 0 if not failures else 1
 
 
+@lru_cache(maxsize=None)  # built once per process: main reuses it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="disczeta",
@@ -361,6 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_series.add_argument("--s", type=int, default=None, help="number of points (zeta -> Z^[s], symsing)")
     p_series.add_argument("--lambda", dest="lam", default=None, help="generalized partition for zetainv")
     p_series.add_argument("--trunc", type=int, default=12, help="truncation order (default 12)")
+    p_series.add_argument("--guard", type=int, default=G.ZINV_GUARD, help="multiplicity-profile guard for zetainv")
     add_common(p_series)
     p_series.set_defaults(func=cmd_series)
 

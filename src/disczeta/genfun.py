@@ -40,6 +40,7 @@ from typing import NamedTuple
 from . import partitions as pt
 from .errors import (
     DivergenceError,
+    GuardExceeded,
     InputError,
     InternalCheckError,
     SymbolicEvaluationError,
@@ -55,6 +56,8 @@ from .motive import (
     eval_at_L_power,
 )
 from .partitions import GenPartition, int_partition
+
+ZINV_GUARD = 10**4  # multiplicity profiles for zinv_profiles: admits t^25, stops t^26
 
 # ---------------------------------------------------------------------------
 # universal classes of strata
@@ -305,7 +308,7 @@ def zinv_lambda(
 
 
 def zinv_profiles(
-    X: XModel, lam: GenPartition, N_pts: int, spec: Specialization | None = None
+    X: XModel, lam: GenPartition, N_pts: int, spec: Specialization | None = None, guard: int = ZINV_GUARD
 ) -> TruncSeries:
     """``zinv_lambda`` summed over the multiplicity profiles of mu, not over Q.
 
@@ -318,13 +321,21 @@ def zinv_profiles(
         raise InputError("N_pts must be >= 0")
     base_profile = pt.multiplicity_profile(lam)
     s0 = len(lam)
-    coeffs: list = [0] * (N_pts + 1)
+    profiles = pt.profile_count(N_pts - s0, guard)
+    if profiles > guard:
+        raise GuardExceeded(f"zetainv to t^{N_pts} needs at least {profiles} multiplicity profiles, guard is {guard}")
+    terms: list = [[] for _ in range(N_pts + 1)]  # the (n, w) pairs of each coefficient
     for m in range(N_pts - s0 + 1):
         for pi in pt.enumerate_k_parts(m, N_pts - s0):
             orderings = math.factorial(m) // math.prod(map(math.factorial, _profile_of_ints(pi)))
-            k = s0 + sum(pi)
-            coeffs[k] = coeffs[k] + (-1) ** m * orderings * w_of(X, base_profile + pi, spec)
-    return TruncSeries.from_coeffs(coeffs, GRADING_POINTS)
+            terms[s0 + sum(pi)].append(((-1) ** m * orderings, w_of(X, base_profile + pi, spec)))
+    return TruncSeries.from_coeffs(map(_combination, terms), GRADING_POINTS)
+
+
+def _combination(pairs: list):
+    """sum n * value over the pairs, in one dict when the values are sparse polynomials."""
+    poly = next((type(v) for _, v in pairs if hasattr(v, "combination")), None)
+    return poly.combination(pairs) if poly else sum(n * v for n, v in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +454,7 @@ class _HodgeRing(_Ring):
     symbol = "(uv)"
     poly = UVPoly
     scale = 2
-    grade = staticmethod(sum)
+    grade = staticmethod(lambda key: sum(UVPoly.exponents(key)))
 
 
 _RINGS = {MOTIVIC: _MotivicRing, COUNT: _CountRing, HODGE: _HodgeRing}

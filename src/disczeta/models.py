@@ -28,10 +28,12 @@ HODGE = "hodge-deligne"
 
 
 class UVPoly(SparsePoly):
-    """Laurent polynomial in the Hodge-Deligne variables u, v: keys (p, q) for u^p v^q."""
+    """Laurent polynomial in the Hodge-Deligne variables u, v: exponents (p, q) for u^p v^q.
+    Both are signed (see ``motive.SparsePoly``): the key of u^p v^q is (p + 2^14) +
+    ((q + 2^14) << 16), and p or q outside [-2^14, 2^14) raises ``InternalCheckError``."""
 
     __slots__ = ()
-    _unit = (0, 0)
+    _signed = 2
 
     @staticmethod
     def term(coeff: int = 1, p: int = 0, q: int = 0) -> "UVPoly":
@@ -44,7 +46,7 @@ class UVPoly(SparsePoly):
 
     def adams(self, r: int) -> "UVPoly":
         """Substitute u -> u^r, v -> v^r."""
-        return UVPoly({(p * r, q * r): v for (p, q), v in self._d.items()})
+        return UVPoly({self.key([r * e for e in self.exponents(k)]): v for k, v in self._d.items()})
 
     def at_one(self) -> int:
         """Evaluate at u = v = 1 (the Euler characteristic of an E-polynomial)."""
@@ -100,6 +102,7 @@ class UVPoly(SparsePoly):
         return UVPoly.of(acc)
 
 
+UVPoly._unit = UVPoly.key((0, 0))
 UV = UVPoly.term(1, 1, 1)
 
 
@@ -201,7 +204,7 @@ class XModel(NamedTuple):
     def hodge_deligne(e, dim: int | None = None) -> "XModel":
         poly = UVPoly.parse(e) if isinstance(e, str) else e
         if dim is None:
-            w = poly.degree(sum)  # the weight p + q of u^p v^q
+            w = poly.degree(lambda key: sum(UVPoly.exponents(key)))  # the weight p + q of u^p v^q
             dim = 0 if w == float("-inf") else (int(w) + 1) // 2
         return XModel("hd", dim, (poly,))
 

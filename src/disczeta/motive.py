@@ -2,10 +2,12 @@
 
 Three layers:
 
-* ``SparsePoly`` -- the one sparse polynomial: a map from exponent tuples to
-  nonzero ints, with ring arithmetic over plain dicts and one grading
+* ``SparsePoly`` -- the one sparse polynomial: a map from packed exponent
+  keys to nonzero ints, with ring arithmetic over plain dicts and one grading
   routine (``degree`` and ``truncated``, given a grade function on keys).
-* ``LaurentL`` and ``MotivicClass`` -- its keys (k_0, k_1, ..., k_r), k_r > 0,
+  A key is one int with a 16-bit slot per exponent (the packed exponent
+  vectors of Monagan and Pearce), so a product's key is a sum of ints.
+* ``LaurentL`` and ``MotivicClass`` -- exponents (k_0, k_1, ..., k_r), k_r > 0,
   stand for L^k_0 S_1^k_1 ... S_r^k_r: Laurent polynomials in the Lefschetz
   symbol L, and polynomials over them in the symmetric-power generators
   S_1, S_2, ... (treated as algebraically independent; S_0 = 1, and the
@@ -27,8 +29,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import reduce
 from numbers import Rational
-from operator import add
+from operator import or_
 from typing import NamedTuple
 
 from .errors import DivergenceError, InputError, InternalCheckError, SymbolicEvaluationError
@@ -41,14 +44,9 @@ NEG_INF = float("-inf")
 GRADING_MULT = "multiplicity"
 GRADING_POINTS = "points"
 
-
-def _key_sum(a: tuple, b: tuple) -> tuple:
-    """Exponent-wise sum of two keys; the shorter one is zero past its end."""
-    if len(a) < len(b):
-        a, b = b, a
-    if len(a) == len(b):
-        return tuple(map(add, a, b))
-    return (*map(add, a, b), *a[len(b):])
+_BITS, _SLOTS = 16, 1024  # key slots: exponent i in bits 16i to 16i+15, for i < 1024
+_MASK, _OFFSET = (1 << _BITS) - 1, 1 << (_BITS - 2)
+_GUARDS = ((1 << (_BITS * _SLOTS)) - 1) // _MASK << (_BITS - 1)  # the top bit of every slot
 
 
 def _combine(a: dict, b: dict, sign: int) -> dict:
@@ -72,27 +70,49 @@ def _print_order(item) -> tuple:
 
 
 class SparsePoly:
-    """Integer combination of monomials, keyed by exponent tuples.
+    """Integer combination of monomials, keyed by packed exponent vectors.
 
     ``_d`` maps each key to its nonzero coefficient and is not changed once
-    the value is built.  ``_unit`` is the key of 1; keys of its length are
-    monomials in invertible variables only.  ``_accepts`` lists the other
-    classes whose keys name the same monomials, so their values coerce as
-    they are.  ``str`` renders keys as L- and S-monomials.  Subclasses bind
-    their own thin operators, which ``bench/tracer.py`` patches per class.
+    the value is built.  The key of exponents (e_0, e_1, ...) is the sum of
+    (e_i + offset_i) << 16i: the first ``_signed`` exponents (of invertible
+    variables) have offset 2^14 and lie in [-2^14, 2^14), the others in
+    [0, 2^15).  ``_unit`` is the key of 1, so a product's key is k1 + k2 - _unit.
+    A product that leaves a slot's range sets the slot's clear top bit, by a
+    carry or a borrow, and raises ``InternalCheckError``.  ``_accepts`` lists
+    the other classes whose keys name the same monomials, so their values
+    coerce as they are.  Subclasses bind their own thin operators, which
+    ``bench/tracer.py`` patches per class.
     """
 
     __slots__ = ("_d",)
-    _unit: tuple = (0,)
+    _signed = 1
+    _unit = _OFFSET
     _accepts: tuple = ()
 
     def __init__(self, d: dict):
         self._d = d
 
     @classmethod
+    def key(cls, exps) -> int:
+        """The key of an exponent tuple; InternalCheckError if an exponent does not fit."""
+        slots = [e + _OFFSET if i < cls._signed else e for i, e in enumerate(exps)]
+        if len(slots) > _SLOTS or not all(0 <= e <= _MASK >> 1 for e in slots):
+            raise InternalCheckError(f"exponents {tuple(exps)} do not fit {_BITS}-bit key slots")
+        return sum(e << (_BITS * i) for i, e in enumerate(slots))
+
+    @classmethod
+    def exponents(cls, key: int) -> tuple:
+        """The exponent tuple of a key, without trailing zeros past the signed exponents."""
+        exps = []
+        while key or len(exps) < cls._signed:
+            exps.append((key & _MASK) - (_OFFSET if len(exps) < cls._signed else 0))
+            key >>= _BITS
+        return tuple(exps)
+
+    @classmethod
     def of(cls, mapping: dict):
-        """From {key: coefficient}; zero coefficients are dropped, keys kept as given."""
-        return cls({k: v for k, v in mapping.items() if v})
+        """From {exponent tuple: coefficient}; zero coefficients are dropped."""
+        return cls({cls.key(k): v for k, v in mapping.items() if v})
 
     @classmethod
     def from_int(cls, n: int):
@@ -124,15 +144,20 @@ class SparsePoly:
     def combination(cls, pairs):
         """sum n * value over the (n, value) pairs in one dict, dropping zeros once at the end."""
         acc: dict = {}
+        get = acc.get
         for n, value in pairs:
-            for k, v in cls._dict_of(value).items():
-                acc[k] = acc.get(k, 0) + n * v
+            d = cls._dict_of(value)
+            if n == 1 and not acc:
+                acc.update(d)
+            else:
+                for k, v in d.items():
+                    acc[k] = get(k, 0) + n * v
         return cls({k: v for k, v in acc.items() if v})
 
     @property
     def terms(self) -> tuple:
-        """The (key, coefficient) pairs in increasing key order."""
-        return tuple(sorted(self._d.items()))
+        """The (exponent tuple, coefficient) pairs in increasing tuple order."""
+        return tuple(sorted((self.exponents(k), v) for k, v in self._d.items()))
 
     def __bool__(self) -> bool:
         return bool(self._d)
@@ -167,10 +192,14 @@ class SparsePoly:
         if o is None:
             return NotImplemented
         acc: dict = {}
+        get, unit = acc.get, self._unit
         for k1, v1 in self._d.items():
+            k1 -= unit
             for k2, v2 in o.items():
-                k = _key_sum(k1, k2)
-                acc[k] = acc.get(k, 0) + v1 * v2
+                k = k1 + k2
+                acc[k] = get(k, 0) + v1 * v2
+        if reduce(or_, acc, 0) & _GUARDS:  # a negative key sets every guard above its top slot
+            raise InternalCheckError(f"an exponent of a product left its {_BITS}-bit key slot")
         return type(self)({k: v for k, v in acc.items() if v})
 
     __rmul__ = __mul__
@@ -179,16 +208,16 @@ class SparsePoly:
         if n < 0:
             if len(self._d) == 1:
                 [(k, v)] = self._d.items()
-                if v in (1, -1) and len(k) == len(self._unit):
-                    return type(self)({tuple(n * e for e in k): v ** -n})
+                if v in (1, -1) and k >> (_BITS * self._signed) == 0:
+                    return type(self)({self.key([n * e for e in self.exponents(k)]): v ** -n})
             raise InputError("negative powers only for unit monomials")
         out = self.one()
         base = self
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            base = base * base if n else base  # no square past the last bit: it could overflow
         return out
 
     def __eq__(self, other) -> bool:
@@ -220,7 +249,7 @@ class SparsePoly:
         if not self._d:
             return "0"
         chunks = []
-        for key, v in sorted(self._d.items(), key=_print_order):
+        for key, v in sorted(self.terms, key=_print_order):
             bits = [str(v)]
             if key[0]:
                 bits.append(f"L^{key[0]}")
@@ -232,15 +261,15 @@ class SparsePoly:
         return out
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self._d!r})"
+        return f"{type(self).__name__}({dict(self.terms)!r})"
 
 
 def dim_grade(d: int):
     """The dimension of the monomial with key (k_0, k_1, ...) when X has
     dimension d: k_0 + d * sum(i * k_i)."""
 
-    def grade(key: tuple) -> int:
-        return key[0] + d * sum(i * e for i, e in enumerate(key))
+    def grade(key: int) -> int:
+        return sum(d * i * e if i else e for i, e in enumerate(MotivicClass.exponents(key)))
 
     return grade
 
@@ -252,7 +281,7 @@ class LaurentL(SparsePoly):
 
     @staticmethod
     def of(mapping: dict[int, int]) -> "LaurentL":
-        return LaurentL({(e,): v for e, v in mapping.items() if v})
+        return LaurentL({LaurentL.key((e,)): v for e, v in mapping.items() if v})
 
     @staticmethod
     def term(coeff: int = 1, exp: int = 0) -> "LaurentL":
@@ -266,7 +295,8 @@ class LaurentL(SparsePoly):
     def substitute(self, value):
         """Evaluate at L = value in any commutative ring (e.g. a Fraction q)."""
         total = 0
-        for (e,), v in self._d.items():
+        for k, v in self._d.items():
+            e = k - _OFFSET
             if e >= 0:
                 total = total + v * value**e
             elif isinstance(value, int):
@@ -295,7 +325,7 @@ class MotivicClass(SparsePoly):
             raise InputError("sym indices and exponents must be nonnegative")
         if i == 0 or exp == 0:
             return MotivicClass.one()
-        return MotivicClass({(0,) * i + (exp,): 1})
+        return MotivicClass({MotivicClass.key((0,) * i + (exp,)): 1})
 
     @staticmethod
     def sym_product(profile: tuple[int, ...]) -> "MotivicClass":
@@ -311,7 +341,7 @@ class MotivicClass(SparsePoly):
 
     @staticmethod
     def lefschetz(exp: int = 1) -> "MotivicClass":
-        return MotivicClass({(exp,): 1})
+        return MotivicClass({MotivicClass.key((exp,)): 1})
 
     def __add__(self, other):
         return SparsePoly.__add__(self, other)
@@ -330,18 +360,19 @@ class MotivicClass(SparsePoly):
     __rmul__ = __mul__
 
     def is_pure_laurent(self) -> bool:
-        return all(len(k) == 1 for k in self._d)
+        return max(self._d, default=0) <= _MASK
 
     def substitute_syms(self, sym_value, l_value=None):
         """Map S_i -> sym_value(i) and (optionally) L -> l_value, in any ring."""
-        coeffs: dict[tuple, dict] = {}
+        coeffs: dict[int, dict] = {}  # S-part of the key -> the LaurentL keys and coefficients
         for k, v in self._d.items():
-            coeffs.setdefault(k[1:], {})[k[:1]] = v
+            coeffs.setdefault(k >> _BITS, {})[k & _MASK] = v
         powers: dict[tuple[int, int], object] = {}  # (i, e) -> sym_value(i) ** e
         total = 0
         for syms, c in coeffs.items():
             part = LaurentL(c) if l_value is None else LaurentL(c).substitute(l_value)
-            for i, e in enumerate(syms, start=1):
+            for i in range(1, syms.bit_length() // _BITS + 2):  # the slots of S_1, S_2, ...
+                e = syms >> (_BITS * i - _BITS) & _MASK
                 if e:
                     power = powers.get((i, e))
                     if power is None:
@@ -369,13 +400,6 @@ class TruncSeries:
         raise AttributeError("TruncSeries is immutable")
 
     __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        same = other.__class__ is TruncSeries
-        return (self.coeffs, self.grading) == (other.coeffs, other.grading) if same else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs, self.grading))
 
     def __repr__(self) -> str:
         return f"TruncSeries(coeffs={self.coeffs!r}, grading={self.grading!r})"

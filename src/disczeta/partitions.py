@@ -468,6 +468,16 @@ def q_distinct(mu: tuple[int, ...]) -> int:
     return len(set(mu))
 
 
+def profile_count(n: int, stop: int) -> int:
+    """sum_{k <= n} p(k) (Euler's pentagonal recurrence), or the first partial sum past ``stop``."""
+    p = [1]
+    while len(p) <= n and sum(p) <= stop:
+        k = len(p)
+        steps = [(j * (3 * j + s) // 2, -((-1) ** j)) for j in range(1, int(k**0.5) + 2) for s in (-1, 1)]
+        p.append(sum(sign * p[k - g] for g, sign in steps if g <= k))
+    return sum(p)
+
+
 def enumerate_k_parts(k: int, max_sum: int) -> list[tuple[int, ...]]:
     """All integer partitions with exactly k parts (each >= 1) and sum <= max_sum."""
     if k < 0 or max_sum < 0:

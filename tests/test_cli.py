@@ -174,3 +174,44 @@ def test_startup_loads_neither_dataclasses_nor_openssl():
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["[]", "True"]  # and the imported modules are out of the collector's scans
+
+
+def test_sweep_rows_render_fractions_like_a_single_j(capsys):
+    argv = ["oracle", "--op", "hyper", "--q", "2", "--sweep-j", "2:3"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["j: fraction", "2: 1/2 = 0.5", "3: 3/8 = 0.375"]
+    assert cli.main(argv + ["--csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["j,fraction", "2,1/2 = 0.5", "3,3/8 = 0.375"]
+    assert cli.main(argv + ["--json"]) == 0  # unchanged: the JSON object of each fraction
+    fractions = json.loads(capsys.readouterr().out)["result"]["fractions"]
+    assert fractions == {"2": {"float": 0.5, "fraction": "1/2"}, "3": {"float": 0.375, "fraction": "3/8"}}
+
+
+def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+    import argparse
+
+    builds = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", lambda *a, **k: builds.append(1) or add_subparsers(*a, **k))
+    cli.build_parser.cache_clear()
+    try:
+        argv = ["series", "zeta", "--X", "P1", "--spec", "count:q=2", "--trunc", "2"]
+        assert cli.main(argv + ["--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["coeffs"] == ["1", "3", "7"]
+        assert cli.main(argv) == 0  # --json of the first call does not carry over
+        assert capsys.readouterr().out.splitlines()[1:] == ["t^0: 1", "t^1: 3", "t^2: 7"]
+        assert len(builds) == 1
+    finally:
+        cli.build_parser.cache_clear()  # later tests build with the real add_subparsers
+
+
+def test_zetainv_guard(capsys):
+    start = time.monotonic()
+    assert cli.main(["series", "zetainv", "--trunc", "26"]) == 3
+    assert time.monotonic() - start < 1.0
+    assert "needs at least 11732 multiplicity profiles, guard is 10000" in capsys.readouterr().err
+    assert cli.main(["series", "zetainv", "--trunc", "4", "--guard", "11"]) == 3  # 1 + 1 + 2 + 3 + 5 profiles
+    assert "needs at least 12 multiplicity profiles, guard is 11" in capsys.readouterr().err
+    assert cli.main(["series", "zetainv", "--trunc", "4", "--guard", "12", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["order"] == 4
+    assert cli.main(["series", "zetainv", "--lambda", "1,1", "--trunc", "5", "--guard", "7"]) == 0  # 3 more points

@@ -37,6 +37,8 @@ def test_oracle_output_matches_reference(key, capsys, monkeypatch):
 FRONTIER = {
     "zetainv_trunc16.json": "series zetainv --trunc 16 --json",
     "zetainv_P2_count_q3_trunc14.json": "series zetainv --X P2 --spec count:q=3 --trunc 14 --json",
+    "zetainv_P1_motivic_trunc12.json": "series zetainv --X P1 --spec motivic-L --trunc 12 --json",
+    "zetainv_P2_hodge_trunc10.json": "series zetainv --X P2 --spec hodge-deligne --trunc 10 --json",
 }
 
 

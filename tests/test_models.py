@@ -156,7 +156,7 @@ def substitute_per_factor(c: MotivicClass, sym_value, l_value):
     """Reference for ``substitute_syms``: every monomial multiplied out one S_i at a time."""
     total = 0
     for key, v in c.terms:
-        part = LaurentL({key[:1]: v})
+        part = LaurentL.of({key[0]: v})
         if l_value is not None:
             part = part.substitute(l_value)
         for i, e in enumerate(key[1:], start=1):

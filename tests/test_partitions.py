@@ -235,6 +235,16 @@ class TestEnumerations:
         assert set(P.enumerate_k_parts(2, 4)) == {(1, 1), (1, 2), (1, 3), (2, 2)}
         assert P.enumerate_k_parts(0, 5) == [()]
 
+    @pytest.mark.parametrize("n", range(0, 15))
+    def test_profile_count_is_the_number_of_profiles(self, n):
+        profiles = sum(len(P.enumerate_k_parts(m, n)) for m in range(n + 1))
+        assert P.profile_count(n, 10**9) == profiles
+
+    def test_profile_count_stops_past_its_bound(self):
+        assert P.profile_count(20, 10**4) == 2714  # series zetainv --trunc 20 passes the default guard
+        assert P.profile_count(26, 10**4) == 11732
+        assert P.profile_count(10**6, 100) == 139  # 1 + 1 + 2 + ... + p(10), at once
+
 
 class TestChains:
     def test_11(self):
