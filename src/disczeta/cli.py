@@ -31,7 +31,6 @@ from . import oracle as O
 from . import verify as V
 from .errors import DisczetaError, GuardExceeded, InputError, InternalCheckError
 from .models import Specialization, parse_model
-from .motive import TruncSeries
 from .partitions import GenPartition, int_partition
 
 
@@ -80,8 +79,8 @@ def _emit(args, command: str, params: dict, result: dict, rows: list[tuple] | No
             print(f"{k}: {v}")
 
 
-def _series_rows(series: TruncSeries) -> list[tuple]:
-    return [(f"t^{n}", str(c)) for n, c in enumerate(series.coeffs)]
+def _series_rows(coeffs: list[str]) -> list[tuple]:
+    return [(f"t^{n}", c) for n, c in enumerate(coeffs)]
 
 
 def cmd_series(args) -> int:
@@ -122,7 +121,8 @@ def cmd_series(args) -> int:
         series = G.sym_s_series(X, args.s, n, spec)
     else:  # pragma: no cover - argparse restricts choices
         raise InputError(f"unknown series kind {args.kind}")
-    _emit(args, "series", params, series.to_json(), _series_rows(series))
+    result = series.to_json()
+    _emit(args, "series", params, result, _series_rows(result["coeffs"]))
     return 0
 
 

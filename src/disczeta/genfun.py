@@ -135,10 +135,8 @@ def w_class(lam: GenPartition | tuple[int, ...]) -> MotivicClass:
 
 def wbar_class(lam: GenPartition) -> MotivicClass:
     """The closed stratum [wbar_lambda] = sum of w_mu over the merge closure."""
-    acc = MotivicClass.zero()
-    for mu in pt.merge_closure(lam):
-        acc = acc + _w_profile(pt.multiplicity_profile(mu))
-    return acc
+    profiles = Counter(map(pt.multiplicity_profile, pt.merge_closure(lam)))
+    return MotivicClass.combination((n, _w_profile(p)) for p, n in profiles.items())
 
 
 @lru_cache(maxsize=None)

@@ -230,10 +230,8 @@ class XModel(NamedTuple):
     def _sym_laurent(self, n: int) -> LaurentL:
         if self.kind == "affine":
             return LaurentL.term(1, self.dim * n)
-        if self.kind == "projline":
-            return LaurentL.of({k: 1 for k in range(n + 1)})
-        if self.kind == "projspace":
-            return _proj_space_sym(self.params[0], n)
+        if self.kind in ("projline", "projspace"):
+            return _proj_space_sym(self.dim, n)
         if self.kind == "symtable":
             table = self.params[0]
             if n >= len(table):
@@ -242,35 +240,11 @@ class XModel(NamedTuple):
         raise ModelDataError(f"{self.kind} model has no Laurent Sym classes")
 
     def sym(self, n: int, spec: Specialization | None = None):
-        """[Sym^n X] in the target ring (the model's natural target by default)."""
+        """[Sym^n X] in the target ring (the model's natural target by default).
+        Computed once per (model, n, target) and then read from a cache."""
         if n < 0:
             raise InputError("n must be >= 0")
-        spec = spec or self.natural_spec()
-        t = spec.target
-        if self.kind == "symbolic":
-            if t != MOTIVIC:
-                raise InputError("the symbolic model only supports the motivic-L target")
-            return MotivicClass.sym(n)
-        if self.kind == "counts":
-            if t != COUNT:
-                raise InputError("a point-count model only supports the count target")
-            if spec.q is not None and spec.q != self.params[0]:
-                raise InputError(f"model has q={self.params[0]}, specialization asks q={spec.q}")
-            return _count_sym(self, n)
-        if self.kind == "euler":
-            if t != EULER:
-                raise InputError("an Euler-characteristic model only supports the euler target")
-            return generalized_binomial(self.params[0] + n - 1, n)
-        if self.kind == "hd":
-            if t == HODGE:
-                return _hd_sym(self, n)
-            if t == EULER:
-                return _hd_sym(self, n).at_one()
-            raise InputError("a Hodge-Deligne model supports hodge-deligne or euler targets")
-        # Laurent-backed kinds
-        lau = self._sym_laurent(n)
-        image = self.L_image(spec)
-        return lau if image is None else lau.substitute(image)
+        return _sym(self, n, spec or self.natural_spec())
 
     def L_image(self, spec: Specialization | None = None):
         """The image of L in the target ring; None keeps LaurentL coefficients."""
@@ -324,13 +298,51 @@ _NATURAL_SPECS.update(euler=Specialization(EULER), hd=Specialization(HODGE))
 
 
 @lru_cache(maxsize=None)
+def _sym(model: XModel, n: int, spec: Specialization):
+    t = spec.target
+    if model.kind == "symbolic":
+        if t != MOTIVIC:
+            raise InputError("the symbolic model only supports the motivic-L target")
+        return MotivicClass.sym(n)
+    if model.kind == "counts":
+        if t != COUNT:
+            raise InputError("a point-count model only supports the count target")
+        if spec.q is not None and spec.q != model.params[0]:
+            raise InputError(f"model has q={model.params[0]}, specialization asks q={spec.q}")
+        return _count_sym(model, n)
+    if model.kind == "euler":
+        if t != EULER:
+            raise InputError("an Euler-characteristic model only supports the euler target")
+        return generalized_binomial(model.params[0] + n - 1, n)
+    if model.kind == "hd":
+        if t == HODGE:
+            return _hd_sym(model, n)
+        if t == EULER:
+            return _hd_sym(model, n).at_one()
+        raise InputError("a Hodge-Deligne model supports hodge-deligne or euler targets")
+    # Laurent-backed kinds
+    lau = model._sym_laurent(n)
+    image = model.L_image(spec)
+    return lau if image is None else lau.substitute(image)
+
+
+@lru_cache(maxsize=None)
+def _proj_space_syms(m: int, n: int) -> tuple:
+    """([Sym^n P^0], ..., [Sym^n P^m]) by the recurrence
+    Sym^n P^i = Sym^n P^(i-1) + L^i Sym^(n-1) P^i, the t^n coefficient of
+    Z_{P^i}(t) (1 - L^i t) = Z_{P^(i-1)}(t); Sym^n P^0 = Sym^0 P^i = 1."""
+    if n == 0:
+        return (LaurentL.one(),) * (m + 1)
+    for k in range(n - 1):  # rows in increasing n, so that no call recurses more than one deep
+        _proj_space_syms(m, k)
+    below, row = _proj_space_syms(m, n - 1), [LaurentL.one()]
+    for i in range(1, m + 1):
+        row.append(row[-1] + LaurentL.term(1, i) * below[i])
+    return tuple(row)
+
+
 def _proj_space_sym(m: int, n: int) -> LaurentL:
-    # coefficient of t^n in prod_{i=0..m} 1/(1 - L^i t)
-    series = TruncSeries.one(n)
-    for i in range(m + 1):
-        g = TruncSeries.from_coeffs([LaurentL.term(1, i * k) for k in range(n + 1)])
-        series = series * g
-    return LaurentL.coerce(series.coeffs[n])
+    return _proj_space_syms(m, n)[m]
 
 
 def _model_counts(model: XModel, r: int) -> int:

@@ -7,6 +7,7 @@ Three layers:
   routine (``degree`` and ``truncated``, given a grade function on keys).
   A key is one int with a 16-bit slot per exponent (the packed exponent
   vectors of Monagan and Pearce), so a product's key is a sum of ints.
+  Every product runs through one multiply-accumulate kernel, ``dot``.
 * ``LaurentL`` and ``MotivicClass`` -- exponents (k_0, k_1, ..., k_r), k_r > 0,
   stand for L^k_0 S_1^k_1 ... S_r^k_r: Laurent polynomials in the Lefschetz
   symbol L, and polynomials over them in the symmetric-power generators
@@ -15,7 +16,8 @@ Three layers:
   coercion re-wraps the terms, and equal values hash and print alike.
   ``models.UVPoly`` is the same core over Hodge-Deligne exponents (p, q).
 * ``TruncSeries`` -- power series in t truncated at a fixed order, over any
-  coefficient ring that supports +, -, * and comparison with int.
+  coefficient ring that supports +, -, * and comparison with int.  Over
+  ``SparsePoly`` values each coefficient of a product or inverse is one ``dot``.
 
 Under a declared ambient dimension d, the monomial prod S_i^{e_i} * L^k has
 dimension d * sum(i*e_i) + k (``dim_grade``); evaluation at t = L^-m filters
@@ -30,6 +32,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from numbers import Rational
 from operator import or_
 from typing import NamedTuple
@@ -185,31 +188,42 @@ class SparsePoly:
     def __neg__(self):
         return type(self)({k: -v for k, v in self._d.items()})
 
+    @classmethod
+    def dot(cls, pairs):
+        """sum a * b over the (a, b) pairs of ints and values with compatible keys, as one ``cls``.
+
+        The multiply-accumulate kernel: every product lands in one dict of packed
+        keys (k1 + k2 - _unit), zeros are dropped once at the end, and a key that
+        left its slot raises ``InternalCheckError``.  ``__mul__`` is the one-pair case.
+        """
+        acc: dict = {}
+        get, unit, dict_of = acc.get, cls._unit, cls._dict_of
+        for a, b in pairs:
+            b = dict_of(b)
+            for k1, v1 in dict_of(a).items():
+                k1 -= unit
+                for k2, v2 in b.items():
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + v1 * v2
+        if reduce(or_, acc, 0) & _GUARDS:  # a negative key sets every guard above its top slot
+            raise InternalCheckError(f"an exponent of a product left its {_BITS}-bit key slot")
+        return cls({k: v for k, v in acc.items() if v})
+
     def __mul__(self, other):
         if isinstance(other, int):
             return type(self)({k: other * v for k, v in self._d.items()} if other else {})
-        o = self._dict_of(other)
-        if o is None:
+        if self._dict_of(other) is None:
             return NotImplemented
-        acc: dict = {}
-        get, unit = acc.get, self._unit
-        for k1, v1 in self._d.items():
-            k1 -= unit
-            for k2, v2 in o.items():
-                k = k1 + k2
-                acc[k] = get(k, 0) + v1 * v2
-        if reduce(or_, acc, 0) & _GUARDS:  # a negative key sets every guard above its top slot
-            raise InternalCheckError(f"an exponent of a product left its {_BITS}-bit key slot")
-        return type(self)({k: v for k, v in acc.items() if v})
+        return self.dot(((self, other),))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        if len(self._d) == 1:  # (v x^k)^n = v^n x^(nk); for n < 0, v = +-1 and x only in signed slots
+            [(k, v)] = self._d.items()
+            if n >= 0 or v in (1, -1) and k >> (_BITS * self._signed) == 0:
+                return type(self)({self.key([n * e for e in self.exponents(k)]): v ** abs(n)})
         if n < 0:
-            if len(self._d) == 1:
-                [(k, v)] = self._d.items()
-                if v in (1, -1) and k >> (_BITS * self._signed) == 0:
-                    return type(self)({self.key([n * e for e in self.exponents(k)]): v ** -n})
             raise InputError("negative powers only for unit monomials")
         out = self.one()
         base = self
@@ -249,7 +263,7 @@ class SparsePoly:
         if not self._d:
             return "0"
         chunks = []
-        for key, v in sorted(self.terms, key=_print_order):
+        for key, v in sorted(((self.exponents(k), v) for k, v in self._d.items()), key=_print_order):
             bits = [str(v)]
             if key[0]:
                 bits.append(f"L^{key[0]}")
@@ -293,19 +307,15 @@ class LaurentL(SparsePoly):
     __rmul__ = __mul__
 
     def substitute(self, value):
-        """Evaluate at L = value in any commutative ring (e.g. a Fraction q)."""
-        total = 0
+        """Evaluate at L = value in any commutative ring (e.g. a Fraction q), as one ``_dot``."""
+        pairs = []
         for k, v in self._d.items():
             e = k - _OFFSET
-            if e >= 0:
-                total = total + v * value**e
-            elif isinstance(value, int):
-                total = total + Fraction(v, value ** (-e))
-            elif isinstance(value, Rational):
-                total = total + v / value ** (-e)
+            if e < 0 and isinstance(value, Rational):
+                pairs.append((v, Fraction(1) / value ** (-e)))
             else:
-                total = total + v * value**e  # ring must support negative powers
-        return total
+                pairs.append((v, value**e))  # for e < 0 the ring must support negative powers
+        return _dot(pairs)
 
 
 L = LaurentL.term(1, 1)
@@ -382,6 +392,16 @@ class MotivicClass(SparsePoly):
         return total
 
 
+def _dot(pairs: list):
+    """sum a * b over the pairs, of the type 0 + a * b + ... has: by one ``SparsePoly.dot``
+    when one ``SparsePoly`` class holds every factor that is not an int, else pair by pair."""
+    types = {type(v) for v in chain.from_iterable(pairs) if not isinstance(v, int)}
+    for ring in types:
+        if issubclass(ring, SparsePoly) and all(t is ring or issubclass(t, ring._accepts) for t in types):
+            return ring.dot(pairs)
+    return sum((a * b for a, b in pairs), 0)
+
+
 class TruncSeries:
     """Power series in t modulo t^(order+1), over any exact coefficient ring.
     Immutable, and hashed as the tuple (coeffs, grading)."""
@@ -442,7 +462,7 @@ class TruncSeries:
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         self._check(other)
         n = self.order
-        out = [0] * (n + 1)
+        pairs: list[list] = [[] for _ in range(n + 1)]  # the (a_i, b_j) with i + j = k, for each k
         for i, a in enumerate(self.coeffs):
             if isinstance(a, int) and a == 0:
                 continue
@@ -450,8 +470,8 @@ class TruncSeries:
                 b = other.coeffs[j]
                 if isinstance(b, int) and b == 0:
                     continue
-                out[i + j] = out[i + j] + a * b
-        return TruncSeries(tuple(out), self.grading)
+                pairs[i + j].append((a, b))
+        return TruncSeries(tuple(map(_dot, pairs)), self.grading)
 
     def scale(self, c) -> "TruncSeries":
         return TruncSeries(tuple(c * a for a in self.coeffs), self.grading)
@@ -469,13 +489,9 @@ class TruncSeries:
         else:
             raise InputError(f"series constant term {c0!r} is not invertible")
         out = [inv0] + [0] * self.order
+        live = [(k, ck) for k, ck in enumerate(self.coeffs) if k and not (isinstance(ck, int) and ck == 0)]
         for n in range(1, self.order + 1):
-            acc = 0
-            for k in range(1, n + 1):
-                ck = self.coeffs[k]
-                if isinstance(ck, int) and ck == 0:
-                    continue
-                acc = acc + ck * out[n - k]
+            acc = _dot([(ck, out[n - k]) for k, ck in live if k <= n])
             out[n] = -(inv0 * acc) if inv0 != 1 else -acc
         return TruncSeries(tuple(out), self.grading)
 

@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .errors import GuardExceeded, InputError, InternalCheckError, ModelDataError
 
@@ -519,33 +520,43 @@ def integer_power_density(a: int, b: int, r: int, bound: int, guard: int = MAX_G
     return Fraction(marked.count(1), bound)
 
 
-def _pairwise_sum(terms) -> Fraction:
-    """The exact sum of Fractions, merged pairwise to keep the denominators small:
-    like a binary counter, the i-th term merges with the last partial once per
-    trailing zero of i."""
-    partials: list[Fraction] = []
+def _pairwise_sum(terms, add=operator.add, zero=Fraction(0)):
+    """The exact sum of the terms (Fractions by default), merged pairwise to keep
+    the denominators small: like a binary counter, the i-th term merges with the
+    last partial once per trailing zero of i."""
+    partials: list = []
     for i, part in enumerate(terms, 1):
         while i % 2 == 0:
-            part += partials.pop()
+            part = add(partials.pop(), part)
             i //= 2
         partials.append(part)
-    return sum(partials, Fraction(0))
+    return reduce(add, partials, zero)
 
 
 def zeta_value(s: int, terms: int = 10**4) -> tuple[Fraction, Fraction]:
-    """(truncated sum of n^-s, tail bound)."""
+    """(truncated sum of n^-s, tail bound).
+
+    Blocks of 16 terms are summed over their common denominator lcm(block)^s and
+    merged pairwise as unreduced pairs (numerator, root) standing for
+    numerator / root^s: two roots combine to their lcm through a gcd of the roots
+    alone, and the one reduction is the Fraction built at the end.
+    """
     if s < 2:
         raise InputError("zeta_value needs s >= 2")
 
-    def block_sums():  # each block of 16 terms over its common denominator lcm(block)^s
+    def merge(x, y):  # over lcm(r, r') = r * (r' / g) = r' * (r / g), with g = gcd(r, r')
+        g = math.gcd(x[1], y[1])
+        up_x, up_y = y[1] // g, x[1] // g
+        return x[0] * up_x**s + y[0] * up_y**s, x[1] * up_x
+
+    def block_sums():
         for start in range(1, terms + 1, 16):
             block = range(start, min(start + 16, terms + 1))
-            den = math.lcm(*block) ** s
-            yield Fraction(sum(den // n**s for n in block), den)
+            root = math.lcm(*block)
+            yield sum((root // n) ** s for n in block), root
 
-    total = _pairwise_sum(block_sums())
-    tail = Fraction(1, (s - 1) * terms ** (s - 1))
-    return total, tail
+    numerator, root = _pairwise_sum(block_sums(), merge, (0, 1))
+    return Fraction(numerator, root**s), Fraction(1, (s - 1) * terms ** (s - 1))
 
 
 def power_density_prediction(a: int, b: int, r: int, prime_bound: int = 10**5, guard: int = DEFAULT_GUARD) -> dict:

@@ -242,23 +242,6 @@ def stats(lam: GenPartition) -> Stats:
     return Stats(len(lam.parts), distinct, total)
 
 
-def formalize(lam: GenPartition) -> GenPartition:
-    """Replace each distinct part value by a fresh generator, keeping multiplicities.
-
-    Fresh generators are named a1, a2, ... in canonical order of the distinct
-    values (the prefix grows if the input already uses such names), so the
-    result is reproducible.  Any two sub-multisets of the result with equal
-    sums are equal.
-    """
-    existing = lam.generators()
-    prefix = "a"
-    distinct = sorted(set(lam.parts), key=lambda p: p.coeffs)
-    while any(f"{prefix}{i}" in existing for i in range(1, len(distinct) + 1)):
-        prefix += "a"
-    rename = {p: Part.gen(f"{prefix}{i}") for i, p in enumerate(distinct, start=1)}
-    return GenPartition.of(rename[p] for p in lam.parts)
-
-
 def is_formalization(lam: GenPartition) -> bool:
     """True when every part is a bare non-unit generator (coefficient one)."""
     for p in lam.parts:
@@ -293,24 +276,18 @@ _closure_cache: dict[GenPartition, frozenset[GenPartition]] = {}
 def merge_closure(lam: GenPartition) -> frozenset[GenPartition]:
     """{mu : lam <= mu} under the refinement ordering, including lam itself.
 
-    Finite because each elementary merge strictly decreases the part count.
+    closure(lam) = {lam} united with the closures of its elementary merges,
+    each memoized.  Each merge removes one part, so the recursion is finite and
+    its depth is the part count of lam.
     """
+    return _closure(lam)
+
+
+def _closure(lam: GenPartition) -> frozenset[GenPartition]:
     cached = _closure_cache.get(lam)
-    if cached is not None:
-        return cached
-    seen = {lam}
-    frontier = [lam]
-    while frontier:
-        nxt = []
-        for mu in frontier:
-            for merged in elementary_merges(mu):
-                if merged not in seen:
-                    seen.add(merged)
-                    nxt.append(merged)
-        frontier = nxt
-    result = frozenset(seen)
-    _closure_cache[lam] = result
-    return result
+    if cached is None:
+        cached = _closure_cache[lam] = frozenset({lam}).union(*map(_closure, elementary_merges(lam)))
+    return cached
 
 
 def leq(lam: GenPartition, mu: GenPartition) -> bool:

@@ -215,3 +215,35 @@ def test_zetainv_guard(capsys):
     assert cli.main(["series", "zetainv", "--trunc", "4", "--guard", "12", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["result"]["order"] == 4
     assert cli.main(["series", "zetainv", "--lambda", "1,1", "--trunc", "5", "--guard", "7"]) == 0  # 3 more points
+
+
+SERIES_K = ["series", "k", "--nu", "2", "--trunc", "4"]
+SERIES_K_ROWS = [
+    "1*S_1",
+    "-1*S_1 + 1*S_1^2",
+    "1*S_1 + 1*S_1*S_2 - 2*S_1^2",
+    "-1*S_1 - 1*S_1*S_2 + 1*S_1*S_3 + 2*S_1^2 - 1*S_1^3",
+    "1*S_1 - 1*S_1*S_3 + 1*S_1*S_4 - 2*S_1^2 - 1*S_1^2*S_2 + 2*S_1^3",
+]
+SERIES_K_PARAMS = '{"X": "symbolic(dim=1)", "a": 2, "kind": "k", "nu": "2", "spec": "motivic-L", "trunc": 4}'
+
+
+def test_series_renders_each_coefficient_once(capsys, monkeypatch):
+    from disczeta.motive import SparsePoly
+
+    rendered = []
+    to_str = SparsePoly.__str__
+    monkeypatch.setattr(SparsePoly, "__str__", lambda self: rendered.append(1) or to_str(self))
+    for fmt in ([], ["--json"], ["--csv"]):
+        rendered.clear()
+        assert cli.main(SERIES_K + fmt) == 0
+        out = capsys.readouterr().out
+        assert len(rendered) == len(SERIES_K_ROWS), fmt
+        if fmt == ["--json"]:
+            assert json.loads(out)["result"]["coeffs"] == SERIES_K_ROWS
+        elif fmt == ["--csv"]:
+            assert out.splitlines() == ["# " + SERIES_K_PARAMS] + [f"t^{n},{c}" for n, c in enumerate(SERIES_K_ROWS)]
+        else:
+            assert out.splitlines() == ["params: " + SERIES_K_PARAMS] + [
+                f"t^{n}: {c}" for n, c in enumerate(SERIES_K_ROWS)
+            ]

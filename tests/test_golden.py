@@ -1,9 +1,10 @@
 """CLI output against the recorded reference corpus.
 
-Every ``hyper``, ``limit``, ``series`` and ``oracle`` command recorded in
-``bench/references.json`` is run in-process and its JSON output compared
-with the reference (``oracle`` without its wall-clock ``elapsed_s``).  The
-frontier outputs in ``tests/data`` are compared byte for byte.
+Every ``hyper``, ``limit``, ``series``, ``oracle`` and ``verify`` command
+recorded in ``bench/references.json`` is run in-process and its JSON output
+compared with the reference (``oracle`` and ``verify`` without their
+wall-clock ``elapsed_s``).  The frontier outputs in ``tests/data`` are
+compared byte for byte.
 """
 
 import json
@@ -32,6 +33,14 @@ def test_oracle_output_matches_reference(key, capsys, monkeypatch):
     output = json.loads(capsys.readouterr().out)
     output["result"].pop("elapsed_s")
     assert output == REFERENCES[key]
+
+
+def test_verify_output_matches_reference(capsys):
+    assert cli.main(["verify", "--json"]) == 0
+    output = json.loads(capsys.readouterr().out)
+    for criterion in output["result"]:
+        criterion.pop("elapsed_s")
+    assert output == REFERENCES["verify"]
 
 
 FRONTIER = {

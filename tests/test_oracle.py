@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -367,11 +368,28 @@ class TestIntegerDensity:
 
     @pytest.mark.parametrize("s", [2, 3, 4])
     def test_zeta_value_is_the_sequential_sum(self, s):
-        # around the block boundaries, 16 terms per block
-        for terms in (1, 15, 16, 17, 3000, 3001):
+        # around the block boundaries, 16 terms per block; 33 and 49 terms make 3 and 4 blocks
+        for terms in (1, 15, 16, 17, 33, 49, 3000, 3001):
             total, tail = O.zeta_value(s, terms)
             assert total == sum((Fraction(1, n**s) for n in range(1, terms + 1)), Fraction(0)), terms
             assert tail == Fraction(1, (s - 1) * terms ** (s - 1))
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_zeta_value_matches_the_pairwise_fraction_sum(self, s):
+        # the reference: 16-term blocks as reduced Fractions, merged pairwise by Fraction addition
+        def block_sums(terms):
+            for start in range(1, terms + 1, 16):
+                block = range(start, min(start + 16, terms + 1))
+                den = math.lcm(*block) ** s
+                yield Fraction(sum(den // n**s for n in block), den)
+
+        partials: list[Fraction] = []
+        for i, part in enumerate(block_sums(10**4), 1):
+            while i % 2 == 0:
+                part += partials.pop()
+                i //= 2
+            partials.append(part)
+        assert O.zeta_value(s) == (sum(partials, Fraction(0)), Fraction(1, (s - 1) * 10 ** (4 * (s - 1))))
 
     @pytest.mark.parametrize("a,b,r", [(2, 2, 0), (3, 3, 0), (2, 3, 1)])
     def test_density_matches_divisibility(self, a, b, r):

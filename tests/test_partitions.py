@@ -8,7 +8,7 @@ from disczeta import partitions as P
 from disczeta.errors import InputError
 from disczeta.partitions import GenPartition, Part
 
-from chains import ll_chains
+from chains import formalize, ll_chains, merge_closure_bfs
 
 
 def gp(*values):
@@ -54,29 +54,29 @@ class TestBasics:
 class TestFormalize:
     def test_112(self):
         lam = gp(1, 1, 2)
-        assert P.formalize(lam) == gens("a1", "a1", "a2")
+        assert formalize(lam) == gens("a1", "a1", "a2")
 
     def test_single(self):
-        assert P.formalize(gp(2)) == gens("a1")
+        assert formalize(gp(2)) == gens("a1")
 
     def test_five_parts(self):
-        f = P.formalize(gp(1, 1, 2, 2, 3))
+        f = formalize(gp(1, 1, 2, 2, 3))
         assert f == gens("a1", "a1", "a2", "a2", "a3")
         assert P.multiplicity_profile(f) == (2, 2, 1)
 
     def test_name_clash_avoided(self):
         lam = GenPartition.of([Part.gen("a1"), Part.gen("a2")])
-        f = P.formalize(lam)
+        f = formalize(lam)
         assert f.generators().isdisjoint(lam.generators())
 
     @given(st.lists(st.integers(min_value=1, max_value=6), min_size=0, max_size=7))
     def test_profile_preserved(self, values):
         lam = gp(*values)
-        assert P.multiplicity_profile(P.formalize(lam)) == P.multiplicity_profile(lam)
+        assert P.multiplicity_profile(formalize(lam)) == P.multiplicity_profile(lam)
 
     @given(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=6))
     def test_equal_subset_sums_are_equal(self, values):
-        f = P.formalize(gp(*values))
+        f = formalize(gp(*values))
         seen = {}
         for r in range(len(f.parts) + 1):
             for combo in itertools.combinations(range(len(f.parts)), r):
@@ -108,6 +108,21 @@ class TestMergeOrder:
         lam = gens("a")
         assert P.merge_closure(lam) == frozenset({lam})
         assert P.merge_closure(gp(1, 1)) == frozenset({gp(1, 1), gp(2)})
+
+    def test_closure_matches_breadth_first_search(self, monkeypatch):
+        monkeypatch.setattr(P, "_closure_cache", {})  # memos built here, from cold
+        x, y = Part.gen("x"), Part.gen("y")
+        lams = [gp(*nu) for size in range(8) for k in range(size + 1) for nu in P.enumerate_k_parts(k, size)
+                if sum(nu) == size]
+        assert len(lams) == sum((1, 1, 2, 3, 5, 7, 11, 15))  # the partitions of 0..7
+        for a, b in ((2, 2), (2, 3), (3, 3)):  # the mixed-generator partitions of the jks criterion
+            for r in (0, 1, 2):
+                for j in range(a, 7):
+                    lams += [gp(*(1,) * (j - a), a, *(b,) * r), gp(*(1,) * j, *(b,) * r),
+                             GenPartition.of([x] * j + [y] * r),
+                             GenPartition.of([x] * (j - a) + [Part.gen("x", a)] + [y] * r)]
+        for lam in lams:
+            assert P.merge_closure(lam) == merge_closure_bfs(lam), lam
 
     def test_leq_paper_chain(self):
         assert P.leq(gp(1, 2, 3), gp(3, 3))
@@ -269,7 +284,7 @@ class TestChains:
         for chain in ll_chains(lam):
             for prev, nxt in zip(chain, chain[1:]):
                 assert len(nxt) < len(prev)
-                assert P.leq(P.formalize(prev), nxt)
+                assert P.leq(formalize(prev), nxt)
 
 
 class TestInvariants:
