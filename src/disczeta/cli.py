@@ -102,7 +102,7 @@ def cmd_series(args) -> int:
     elif args.kind == "zetainv":
         lam = GenPartition.parse(args.lam) if args.lam else GenPartition.empty()
         params["lambda"] = str(lam)
-        series = G.zinv_profiles(X, lam, n, spec, args.guard)
+        series = G.zinv_series(X, lam, n, spec, args.guard)
     elif args.kind == "k":
         nu = _parse_int_partition(args.nu) if args.nu else ()
         params["nu"] = ",".join(map(str, nu)) or "-"
@@ -362,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_series.add_argument("--s", type=int, default=None, help="number of points (zeta -> Z^[s], symsing)")
     p_series.add_argument("--lambda", dest="lam", default=None, help="generalized partition for zetainv")
     p_series.add_argument("--trunc", type=int, default=12, help="truncation order (default 12)")
-    p_series.add_argument("--guard", type=int, default=G.ZINV_GUARD, help="multiplicity-profile guard for zetainv")
+    p_series.add_argument("--guard", type=int, default=G.ZINV_GUARD, help="zetainv guard on sum_{k<=N-|lambda|} p(k), the monomials of the symbolic output")
     add_common(p_series)
     p_series.set_defaults(func=cmd_series)
 

@@ -4,23 +4,23 @@ The series built here (all truncated in t):
 
 * ``zeta_series``     -- Z_X(t) = sum [Sym^n X] t^n.
 * ``zeta_s_series``   -- Z^[s]_X(t) = sum over partitions with s parts of
-  w_lambda t^(sum lambda): configurations supported on exactly s points.
+  w_lambda t^(sum lambda): configurations supported on exactly s points;
+  ``zeta_colored_series`` gives Z^[m], the same over colors of points.
 * ``k_lt_a_nu``       -- K_(<a)nu(t): configurations of points with all
   unmarked multiplicities < a decorating a fixed pattern nu.
 * ``kbar_nu``         -- Kbar_{1*nu}(t) = sum_j [wbar_{1^j nu}] t^j, closures.
 * ``sym_s_series``    -- configurations with exactly s multiple points.
-* ``zinv_profiles``   -- the inverse-zeta analogues graded by point count,
-  summed over multiplicity profiles (what ``series zetainv`` prints).
+* ``zinv_series``     -- the inverse-zeta analogue zinv_lambda(t), graded by
+  point count (what ``series zetainv`` prints).
 * ``zinv_lambda``     -- the same series as the defining signed sum over Q;
-  the second route that checks ``zinv_profiles``.
+  the second route that checks ``zinv_series``.
 * densities and stable limits expressed through motivic zeta values.
 
 Two t-gradings coexist and must not be mixed silently: configuration series
 grade t by total multiplicity, the hypersurface series by number of points.
-The one sanctioned bridge is the identity
-``Z^[s](t) = zinv_{*^s}(t) * Z(t)``.  The densities are computed on the
-multiplicity-graded side only; the bridge is checked in the tier-1 test
-``tests/test_genfun.py::TestSecondRoutes::test_zinv_star_bridge``.
+They meet in one identity, zinv_lambda(t) = Z^[m](t) * Z(t)^-1 read
+coefficientwise, m the multiplicity profile of lambda; tier-1 checks it
+against the sum over Q.  Densities are computed multiplicity-graded only.
 
 Evaluation at t = L^-m happens in a target ring (``_ring``): motivic-L,
 count(q) or Hodge-Deligne.  Only the ring classes know which one it is.
@@ -57,7 +57,8 @@ from .motive import (
 )
 from .partitions import GenPartition, int_partition
 
-ZINV_GUARD = 10**4  # multiplicity profiles for zinv_profiles: admits t^25, stops t^26
+ZINV_GUARD = 10**4  # sum_{k <= N-|lambda|} p(k), the monomials of a symbolic zetainv: admits t^25, stops t^26
+Q_GUARD = 2**16  # elements of Q for zinv_lambda: admits N - |lambda| <= 16
 
 # ---------------------------------------------------------------------------
 # universal classes of strata
@@ -162,10 +163,29 @@ def zeta_s_series(X: XModel, s: int, N: int, spec: Specialization | None = None)
     """Z^[s]_X(t): the locus of Sym^n X supported on exactly s geometric points."""
     if s < 0:
         raise InputError("s must be >= 0")
-    coeffs: list = [0] * (N + 1)
-    for lam in pt.enumerate_k_parts(s, N):
-        coeffs[sum(lam)] = coeffs[sum(lam)] + w_of(X, _profile_of_ints(lam), spec)
-    return TruncSeries.from_coeffs(coeffs)
+    return zeta_colored_series(X, (s,), N, spec)
+
+
+def zeta_colored_series(X: XModel, m: tuple[int, ...], N: int, spec: Specialization | None = None) -> TruncSeries:
+    """Z^[m]_X(t), m = (s_1, ..., s_r): sum of w_{pi_1 ... pi_r} t^(|pi_1| + ... + |pi_r|).
+
+    Each pi_i is an integer partition with exactly s_i parts, the points of
+    color i.  Colors are distinct, so the profiles of the pi_i concatenate.
+    Colors are added one at a time to a count of (multiplicity, joint profile).
+    """
+    acc = Counter({(0, ()): 1})
+    for s in m:
+        grown: Counter = Counter()
+        for pi in pt.enumerate_k_parts(s, N):
+            size, profile = sum(pi), _profile_of_ints(pi)
+            for (n, joint), count in acc.items():
+                if n + size <= N:
+                    grown[n + size, tuple(sorted(joint + profile, reverse=True))] += count
+        acc = grown
+    terms: list = [[] for _ in range(N + 1)]
+    for (n, joint), count in acc.items():
+        terms[n].append((count, w_of(X, joint, spec)))
+    return TruncSeries.from_coeffs(map(_combination, terms))
 
 
 def _profile_of_ints(lam: tuple[int, ...]) -> tuple[int, ...]:
@@ -283,51 +303,44 @@ def sym_s_series(X: XModel, s: int, N: int, spec: Specialization | None = None) 
 
 
 def zinv_lambda(
-    X: XModel, lam: GenPartition, N_pts: int, spec: Specialization | None = None
+    X: XModel, lam: GenPartition, N_pts: int, spec: Specialization | None = None, guard: int = Q_GUARD
 ) -> TruncSeries:
     """Z^-1_{X,lambda}(t) = sum over mu in Q of (-1)^||mu|| w_{lambda.mu} t^|lambda.mu|.
 
     The t-exponent counts points (not multiplicity); lambda.mu is the disjoint
-    concatenation, so only the profiles are joined.
+    concatenation, so only the profiles are joined.  The 2^k elements of Q of
+    size <= k = N_pts - |lambda| must not exceed ``guard``.
     """
     base_profile = pt.multiplicity_profile(lam)
     s0 = len(lam)
     if N_pts < 0:
         raise InputError("N_pts must be >= 0")
+    size = 2 ** max(N_pts - s0, 0)
+    if size > guard:
+        raise GuardExceeded(f"the sum over Q to t^{N_pts} needs {size} elements of Q, guard is {guard}")
     coeffs: list = [0] * (N_pts + 1)
-    for mu in pt.enumerate_Q(max(N_pts - s0, 0)):
-        k = s0 + len(mu)
-        if k > N_pts:
-            continue
+    for mu in pt.enumerate_Q(N_pts - s0) if N_pts >= s0 else ():
         sign = -1 if pt.q_distinct(mu) % 2 else 1
         prof = tuple(sorted(base_profile + _profile_of_ints(mu), reverse=True))
-        coeffs[k] = coeffs[k] + sign * w_of(X, prof, spec)
+        coeffs[s0 + len(mu)] += sign * w_of(X, prof, spec)
     return TruncSeries.from_coeffs(coeffs, GRADING_POINTS)
 
 
-def zinv_profiles(
+def zinv_series(
     X: XModel, lam: GenPartition, N_pts: int, spec: Specialization | None = None, guard: int = ZINV_GUARD
 ) -> TruncSeries:
-    """``zinv_lambda`` summed over the multiplicity profiles of mu, not over Q.
+    """``zinv_lambda`` as Z^[m](t) * Z(t)^-1 read by point count, m the profile of lambda.
 
-    mu in Q is fixed by its multiplicities (c_1, ..., c_m).  The mu whose
-    multiplicities form the partition pi of k are the m!/prod_v mult_pi(v)!
-    orderings of pi, each with sign (-1)^m, so coefficient |lambda| + k sums
-    over the p(k) partitions pi of k instead of the 2^(k-1) elements of Q.
+    Only w of |lambda| points enter.  The guard bounds sum_{k <= N_pts-|lambda|} p(k),
+    the monomials of the symbolic answer.
     """
     if N_pts < 0:
         raise InputError("N_pts must be >= 0")
-    base_profile = pt.multiplicity_profile(lam)
-    s0 = len(lam)
-    profiles = pt.profile_count(N_pts - s0, guard)
+    profiles = pt.profile_count(N_pts - len(lam), guard)
     if profiles > guard:
         raise GuardExceeded(f"zetainv to t^{N_pts} needs at least {profiles} multiplicity profiles, guard is {guard}")
-    terms: list = [[] for _ in range(N_pts + 1)]  # the (n, w) pairs of each coefficient
-    for m in range(N_pts - s0 + 1):
-        for pi in pt.enumerate_k_parts(m, N_pts - s0):
-            orderings = math.factorial(m) // math.prod(map(math.factorial, _profile_of_ints(pi)))
-            terms[s0 + sum(pi)].append(((-1) ** m * orderings, w_of(X, base_profile + pi, spec)))
-    return TruncSeries.from_coeffs(map(_combination, terms), GRADING_POINTS)
+    colored = zeta_colored_series(X, pt.multiplicity_profile(lam), N_pts, spec)
+    return (colored * zeta_series(X, N_pts, spec).inverse()).regraded(GRADING_POINTS)
 
 
 def _combination(pairs: list):

@@ -554,14 +554,6 @@ class TruncSeries:
         return json.dumps(self.to_json())
 
 
-def geometric_series(ratio, order: int, grading: str = GRADING_MULT) -> TruncSeries:
-    """1/(1 - ratio*t) truncated."""
-    coeffs = [1]
-    for _ in range(order):
-        coeffs.append(coeffs[-1] * ratio)
-    return TruncSeries(tuple(coeffs), grading)
-
-
 class EvalResult(NamedTuple):
     """Value of a series at t = L^-m, plus the tail left out of the truncation."""
 

@@ -242,13 +242,7 @@ def check_integer_analog() -> dict:
 
 
 def _partitions_of(total):
-    if total == 0:
-        yield ()
-        return
-    for k in range(1, total + 1):
-        for lam in pt.enumerate_k_parts(k, total):
-            if sum(lam) == total:
-                yield lam
+    return (lam for k in range(total + 1) for lam in pt.enumerate_k_parts(k, total) if sum(lam) == total)
 
 
 CRITERIA = [

@@ -1,6 +1,12 @@
 """<<-chains of generalized partitions, the test suite's reference route to [w_lambda],
-with formalization and a breadth-first merge closure as references."""
+with formalization, a breadth-first merge closure and the profile sum for
+zinv_lambda as references."""
 
+import math
+
+from disczeta import genfun as G
+from disczeta import partitions as pt
+from disczeta.motive import GRADING_POINTS, TruncSeries
 from disczeta.partitions import GenPartition, Part, elementary_merges, merge_closure
 
 
@@ -28,6 +34,25 @@ def merge_closure_bfs(lam: GenPartition) -> frozenset[GenPartition]:
         frontier = {mu for nu in frontier for mu in elementary_merges(nu)} - seen
         seen = seen | frontier
     return frozenset(seen)
+
+
+def zinv_by_profiles(X, lam: GenPartition, N_pts: int, spec=None) -> TruncSeries:
+    """``zinv_lambda`` summed over the multiplicity profiles of mu, not over Q.
+
+    mu in Q is fixed by its multiplicities (c_1, ..., c_m).  The mu whose
+    multiplicities form the partition pi of k are the m!/prod_v mult_pi(v)!
+    orderings of pi, each with sign (-1)^m, so coefficient |lambda| + k sums
+    over the p(k) partitions pi of k instead of the 2^(k-1) elements of Q.
+    No series inverse is taken.
+    """
+    base_profile = pt.multiplicity_profile(lam)
+    s0 = len(lam)
+    terms: list = [[] for _ in range(N_pts + 1)]  # the (n, w) pairs of each coefficient
+    for m in range(N_pts - s0 + 1):
+        for pi in pt.enumerate_k_parts(m, N_pts - s0):
+            orderings = math.factorial(m) // math.prod(map(math.factorial, G._profile_of_ints(pi)))
+            terms[s0 + sum(pi)].append(((-1) ** m * orderings, G.w_of(X, base_profile + pi, spec)))
+    return TruncSeries.from_coeffs(map(G._combination, terms), GRADING_POINTS)
 
 
 def ll_chains(lam: GenPartition, max_len: int | None = None) -> list[tuple[GenPartition, ...]]:

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from disczeta import genfun as G
 from disczeta import partitions as pt
-from disczeta.errors import DivergenceError, InputError, InternalCheckError
+from disczeta.errors import DivergenceError, GuardExceeded, InputError, InternalCheckError
 from disczeta.models import COUNT, HODGE, MOTIVIC, Specialization, XModel
 from disczeta.motive import GRADING_MULT, LaurentL, MotivicClass, TruncSeries, dim_grade
 from disczeta.partitions import GenPartition
 
-from chains import ll_chains
+from chains import ll_chains, zinv_by_profiles
 
 S = MotivicClass.sym
 A1 = XModel.affine_space(1)
@@ -207,10 +207,11 @@ class TestZetaSeries:
         assert inv == direct.regraded(GRADING_MULT)
 
     def test_inversion_identity_by_profiles(self):
-        # the same identity at an order the sum over Q cannot reach in tier-1 time
+        # the same identity at an order the sum over Q cannot reach in tier-1 time:
+        # the series inverse that series zetainv prints against the signed profile sum
         n = 14
-        inv = G.zeta_series(SYM, n).inverse()
-        assert inv == G.zinv_profiles(SYM, GenPartition.empty(), n).regraded(GRADING_MULT)
+        lam = GenPartition.empty()
+        assert G.zinv_series(SYM, lam, n) == zinv_by_profiles(SYM, lam, n)
 
 
 class TestKSeries:
@@ -319,13 +320,13 @@ class TestSymS:
         assert total == G.zeta_series(SYM, n)
 
 
-def check_ordered_closed_form(zinv):
-    # lambda = s ordered labels: zinv = w t^s Z^-1/(1-t)^s
+def check_ordered_closed_form(zinv, zinv_empty):
+    # lambda = s ordered labels: zinv = w t^s Z^-1/(1-t)^s, with Z^-1 from zinv_empty
     n = 7
+    zinv0 = zinv_empty(SYM, GenPartition.empty(), n)
     for s in (1, 2, 3):
         lam = GenPartition.of([pt.Part.gen(f"g{i}") for i in range(s)])
         got = zinv(SYM, lam, n)
-        zinv0 = zinv(SYM, GenPartition.empty(), n)
         inv_1t = TruncSeries.from_coeffs(
             [1, -1] + [0] * (n - 1), G.GRADING_POINTS
         ).inverse()
@@ -338,15 +339,25 @@ def check_ordered_closed_form(zinv):
 
 class TestZinv:
     def test_ordered_closed_form(self):
-        check_ordered_closed_form(G.zinv_lambda)
+        check_ordered_closed_form(G.zinv_lambda, G.zinv_lambda)
 
     def test_ordered_closed_form_by_profiles(self):
-        check_ordered_closed_form(G.zinv_profiles)
+        # the production series for lambda against the closed form on the profile sum
+        check_ordered_closed_form(G.zinv_series, zinv_by_profiles)
 
     @pytest.mark.parametrize("profile", [(), (1,), (2,), (1, 1), (2, 1), (3,)], ids=str)
     def test_profiles_match_q_sum(self, profile):
         lam = G._formalization_with_profile(profile)
-        assert G.zinv_profiles(SYM, lam, 9) == G.zinv_lambda(SYM, lam, 9)
+        assert G.zinv_series(SYM, lam, 9) == zinv_by_profiles(SYM, lam, 9) == G.zinv_lambda(SYM, lam, 9)
+
+    def test_q_sum_guard(self):
+        # 2^k elements of Q of size <= k, counted before any is enumerated
+        with pytest.raises(GuardExceeded, match="needs 131072 elements of Q, guard is 65536"):
+            G.zinv_lambda(SYM, GenPartition.empty(), 17)
+        with pytest.raises(GuardExceeded, match="needs 32 elements of Q, guard is 31"):
+            G.zinv_lambda(SYM, GenPartition.empty(), 5, guard=31)
+        assert G.zinv_lambda(SYM, GenPartition.empty(), 5, guard=32) == G.zinv_series(SYM, GenPartition.empty(), 5)
+        assert G.zinv_lambda(SYM, gp(1, 2), 7, guard=32) == G.zinv_series(SYM, gp(1, 2), 7)  # Q up to size 5
 
     def test_sum_over_s_is_one(self):
         n = 6
@@ -522,6 +533,8 @@ class TestJksIdentity:
 
 # the targets in which a series can be evaluated at t = L^-m
 EVALUABLE_SPECS = [Specialization(MOTIVIC), Specialization(COUNT, 3), Specialization(HODGE)]
+# multiplicity profiles of lambda: no color, one, two merged or not, three
+ZINV_PROFILES = [(), (1,), (2,), (1, 1), (2, 1), (2, 2), (1, 1, 1), (3, 1, 1)]
 
 
 class TestSecondRoutes:
@@ -543,7 +556,23 @@ class TestSecondRoutes:
     def test_zinv_profiles_match_q_sum(self, X, spec):
         for profile in [(), (1,)]:
             lam = G._formalization_with_profile(profile)
-            assert G.zinv_profiles(X, lam, 7, spec) == G.zinv_lambda(X, lam, 7, spec)
+            assert G.zinv_series(X, lam, 7, spec) == zinv_by_profiles(X, lam, 7, spec) == G.zinv_lambda(X, lam, 7, spec)
+
+    @pytest.mark.parametrize(
+        "X,spec",
+        [(SYM, None)] + [(X, spec) for X in (A1, P1, XModel.proj_space(2)) for spec in EVALUABLE_SPECS],
+        ids=lambda v: v.label() if isinstance(v, XModel) else str(v),
+    )
+    def test_zinv_colored_bridge(self, X, spec):
+        # zinv_lambda(t) = Z^[m](t) Z(t)^-1 for every multiplicity profile m of lambda
+        for profile in ZINV_PROFILES:
+            lam = G._formalization_with_profile(profile)
+            assert G.zinv_series(X, lam, 7, spec) == G.zinv_lambda(X, lam, 7, spec), profile
+
+    @pytest.mark.parametrize("profile", ZINV_PROFILES, ids=str)
+    def test_zinv_colored_bridge_by_profiles(self, profile):
+        lam = G._formalization_with_profile(profile)
+        assert G.zinv_series(SYM, lam, 14) == zinv_by_profiles(SYM, lam, 14)
 
     @pytest.mark.parametrize("spec", EVALUABLE_SPECS, ids=str)
     @pytest.mark.parametrize("X", [A1, P1], ids=XModel.label)

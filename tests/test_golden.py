@@ -48,6 +48,10 @@ FRONTIER = {
     "zetainv_P2_count_q3_trunc14.json": "series zetainv --X P2 --spec count:q=3 --trunc 14 --json",
     "zetainv_P1_motivic_trunc12.json": "series zetainv --X P1 --spec motivic-L --trunc 12 --json",
     "zetainv_P2_hodge_trunc10.json": "series zetainv --X P2 --spec hodge-deligne --trunc 10 --json",
+    "zetainv_P1_motivic_trunc16.json": "series zetainv --X P1 --spec motivic-L --trunc 16 --json",
+    "zetainv_P2_hodge_trunc14.json": "series zetainv --X P2 --spec hodge-deligne --trunc 14 --json",
+    "zetainv_lambda112_trunc14.json": "series zetainv --lambda 1,1,2 --trunc 14 --json",
+    "zetainv_P2_count_q3_lambda12_trunc12.json": "series zetainv --X P2 --spec count:q=3 --lambda 1,2 --trunc 12 --json",
 }
 
 

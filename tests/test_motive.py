@@ -13,8 +13,15 @@ from disczeta.motive import (
     TruncSeries,
     dim_grade,
     eval_at_L_power,
-    geometric_series,
 )
+
+
+def geometric_series(ratio, order: int) -> TruncSeries:
+    """1/(1 - ratio*t) truncated."""
+    coeffs = [1]
+    for _ in range(order):
+        coeffs.append(coeffs[-1] * ratio)
+    return TruncSeries.from_coeffs(coeffs)
 
 
 def laurents(max_terms=3):
