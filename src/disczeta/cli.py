@@ -83,85 +83,63 @@ def _series_rows(coeffs: list[str]) -> list[tuple]:
     return [(f"t^{n}", c) for n, c in enumerate(coeffs)]
 
 
-def cmd_series(args) -> int:
+def _model_params(args, **head) -> tuple:
+    """The X-model and specialization of ``--X``/``--spec``, and the params a verb echoes."""
     X = parse_model(args.X)
     spec = Specialization.parse(args.spec) if args.spec else None
+    return X, spec, {**head, "X": X.label(), "spec": str(spec or X.natural_spec())}
+
+
+def _nu(args, params: dict) -> tuple[int, ...]:
+    nu = _parse_int_partition(args.nu) if args.nu else ()
+    params["nu"] = ",".join(map(str, nu)) or "-"
+    return nu
+
+
+def _config_series(args, kind: str, X, spec, order: int, params: dict) -> tuple:
+    """The ``k``, ``kbar`` or ``symsing`` series to ``order``, echoing its flags into
+    params, and the zeta expression that ``limit`` reports for its stable limit."""
+    if kind == "k":
+        nu = _nu(args, params)
+        params["a"] = args.a
+        return G.k_lt_a_nu(X, nu, args.a, order, spec), f"E(M^-1) with E = K_(<{args.a}){nu}/Z_X"
+    if kind == "kbar":
+        if not args.nu:
+            raise InputError("kbar needs --nu with all parts >= 2")
+        nu = _nu(args, params)
+        return G.kbar_nu(X, nu, order, spec), f"E(M^-1) with E = Kbar_(1*{nu})/Z_X"
+    params["s"] = args.s
+    return G.sym_s_series(X, args.s or 0, order, spec), f"zeta^[{args.s or 0}]_X(2d)/zeta_X(2d)"
+
+
+def cmd_series(args) -> int:
+    X, spec, params = _model_params(args, kind=args.kind, trunc=args.trunc)
     n = args.trunc
-    params = {
-        "kind": args.kind,
-        "X": X.label(),
-        "spec": str(spec or X.natural_spec()),
-        "trunc": n,
-    }
-    if args.kind == "zeta":
-        if args.s is not None:
-            params["s"] = args.s
-            series = G.zeta_s_series(X, args.s, n, spec)
-        else:
-            series = G.zeta_series(X, n, spec)
+    if args.kind == "zeta" and args.s is not None:
+        params["s"] = args.s
+        series = G.zeta_s_series(X, args.s, n, spec)
+    elif args.kind == "zeta":
+        series = G.zeta_series(X, n, spec)
     elif args.kind == "zetainv":
         lam = GenPartition.parse(args.lam) if args.lam else GenPartition.empty()
         params["lambda"] = str(lam)
         series = G.zinv_series(X, lam, n, spec, args.guard)
-    elif args.kind == "k":
-        nu = _parse_int_partition(args.nu) if args.nu else ()
-        params["nu"] = ",".join(map(str, nu)) or "-"
-        params["a"] = args.a
-        series = G.k_lt_a_nu(X, nu, args.a, n, spec)
-    elif args.kind == "kbar":
-        if not args.nu:
-            raise InputError("kbar needs --nu with all parts >= 2")
-        nu = _parse_int_partition(args.nu)
-        params["nu"] = ",".join(map(str, nu))
-        series = G.kbar_nu(X, nu, n, spec)
-    elif args.kind == "symsing":
-        if args.s is None:
+    else:
+        if args.kind == "symsing" and args.s is None:
             raise InputError("symsing needs --s")
-        params["s"] = args.s
-        series = G.sym_s_series(X, args.s, n, spec)
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown series kind {args.kind}")
+        series, _ = _config_series(args, args.kind, X, spec, n, params)
     result = series.to_json()
     _emit(args, "series", params, result, _series_rows(result["coeffs"]))
     return 0
 
 
 def cmd_limit(args) -> int:
-    X = parse_model(args.X)
-    spec = Specialization.parse(args.spec) if args.spec else None
     cutoff = args.cutoff
-    params = {
-        "of": args.of,
-        "X": X.label(),
-        "spec": str(spec or X.natural_spec()),
-        "cutoff": cutoff,
-        "normalization": args.normalization,
-    }
+    X, spec, params = _model_params(args, of=args.of, cutoff=cutoff, normalization=args.normalization)
     if args.of == "distinctnu":
-        nu = _parse_int_partition(args.nu) if args.nu else ()
-        params["nu"] = ",".join(map(str, nu)) or "-"
-        report = G.distinct_nu_limit(X, nu, cutoff, spec)
+        report = G.distinct_nu_limit(X, _nu(args, params), cutoff, spec)
     else:
-        order = G.default_limit_order(cutoff)
-        if args.of == "k":
-            nu = _parse_int_partition(args.nu) if args.nu else ()
-            params["nu"] = ",".join(map(str, nu)) or "-"
-            params["a"] = args.a
-            series = G.k_lt_a_nu(X, nu, args.a, order, spec)
-            expr = f"E(M^-1) with E = K_(<{args.a}){nu}/Z_X"
-        elif args.of == "kbar":
-            if not args.nu:
-                raise InputError("kbar needs --nu with all parts >= 2")
-            nu = _parse_int_partition(args.nu)
-            params["nu"] = ",".join(map(str, nu))
-            series = G.kbar_nu(X, nu, order, spec)
-            expr = f"E(M^-1) with E = Kbar_(1*{nu})/Z_X"
-        elif args.of == "symsing":
-            params["s"] = args.s
-            series = G.sym_s_series(X, args.s or 0, order, spec)
-            expr = f"zeta^[{args.s or 0}]_X(2d)/zeta_X(2d)"
-        else:  # pragma: no cover
-            raise InputError(f"unknown limit source {args.of}")
+        series, expr = _config_series(args, args.of, X, spec, G.default_limit_order(cutoff), params)
         report = G.stable_limit(series, X, args.normalization, cutoff, spec, expr)
     result = {
         "value": _json_value(report.value),
@@ -177,14 +155,7 @@ def cmd_limit(args) -> int:
 
 
 def cmd_hyper(args) -> int:
-    X = parse_model(args.X)
-    spec = Specialization.parse(args.spec) if args.spec else None
-    params = {
-        "X": X.label(),
-        "d": args.d,
-        "spec": str(spec or X.natural_spec()),
-        "cutoff": args.cutoff,
-    }
+    X, spec, params = _model_params(args, d=args.d, cutoff=args.cutoff)
     if args.multi is not None:
         if args.ordered or args.s is not None:
             raise InputError("--multi cannot be combined with --ordered or --s")
@@ -258,31 +229,21 @@ def cmd_oracle(args) -> int:
         lam = _parse_int_partition(args.lam or "")
         params = {"op": "wlambda", "X": args.oracle_X, "q": args.q, "lambda": ",".join(map(str, lam)) or "-"}
         work = lambda: {"exact_count": O.count_w_lambda(args.oracle_X, args.q, lam, guard)}
-    elif args.op in ("syms", "hyper") and args.j is None and not args.sweep_j:
-        raise InputError(f"oracle --op {args.op} needs --j or --sweep-j")
-    elif args.op == "syms":
-        params = {"op": "syms", "q": args.q, "s": args.s or 0}
+    elif args.op in ("syms", "hyper"):
+        if args.j is None and not args.sweep_j:
+            raise InputError(f"oracle --op {args.op} needs --j or --sweep-j")
+        if args.op == "syms":
+            count, key, sweep_key = O.count_sym_s, "exact_count", "counts"
+        else:
+            count, key, sweep_key = O.count_hyper_s, "fraction", "fractions"
+        params = {"op": args.op, "q": args.q, "s": args.s or 0}
+        one = lambda j: _json_value(count(args.q, j, args.s or 0, guard))
         if args.sweep_j:
             params["sweep_j"] = args.sweep_j
-            work = lambda: {
-                "counts": {j: O.count_sym_s(args.q, j, args.s or 0, guard) for j in _sweep_range(args.sweep_j)}
-            }
+            work = lambda: {sweep_key: {j: one(j) for j in _sweep_range(args.sweep_j)}}
         else:
             params["j"] = args.j
-            work = lambda: {"exact_count": O.count_sym_s(args.q, args.j, args.s or 0, guard)}
-    elif args.op == "hyper":
-        params = {"op": "hyper", "q": args.q, "s": args.s or 0}
-        if args.sweep_j:
-            params["sweep_j"] = args.sweep_j
-            work = lambda: {
-                "fractions": {
-                    j: _json_value(O.count_hyper_s(args.q, j, args.s or 0, guard))
-                    for j in _sweep_range(args.sweep_j)
-                }
-            }
-        else:
-            params["j"] = args.j
-            work = lambda: {"fraction": _json_value(O.count_hyper_s(args.q, args.j, args.s or 0, guard))}
+            work = lambda: {key: one(args.j)}
     elif args.op == "intdensity":
         params = {"op": "intdensity", "a": args.a, "b": args.b, "r": args.r, "bound": args.bound}
 

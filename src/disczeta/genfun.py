@@ -428,7 +428,7 @@ class _MotivicRing(_Ring):
         return MotivicClass.lefschetz(exp)
 
     def _evaluate(self, f, m, cutoff):
-        return eval_at_L_power(f, m, self.dim, cutoff, require_margin=False)
+        return eval_at_L_power(f, m, self.dim, cutoff)
 
 
 class _CountRing(_Ring):
@@ -607,18 +607,14 @@ def stable_limit(
 
 
 def _stable_sym_class(X: XModel, spec: Specialization | None, ring: _Ring, cutoff: int):
-    """lim [Sym^n X]/M^n = prod_{i=1..dim} 1/(1 - L^-i) for the built-in rational models."""
-    if X.kind == "affine" or (X.kind == "counts" and X.params[1] is None):
-        return X.ring_one(spec)
-    if X.kind in ("projline", "projspace"):
-        out = 1
-        for i in range(1, X.dim + 1):
-            out = out * (1 + ring.geometric(i, cutoff))
-        return ring.truncate(out, cutoff)
-    raise InputError(
-        f"the M-power normalization needs the stable symmetric-power class, "
-        f"which is not available for the {X.kind} model; use Sym"
-    )
+    """lim [Sym^n X]/M^n = prod_{i=1..k} 1/(1 - L^-i), k = ``X.stable_sym_poles()``."""
+    k = X.stable_sym_poles()
+    if not k:
+        return X.sym(0, spec)
+    out = 1
+    for i in range(1, k + 1):
+        out = out * (1 + ring.geometric(i, cutoff))
+    return ring.truncate(out, cutoff)
 
 
 def distinct_nu_limit(

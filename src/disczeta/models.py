@@ -1,10 +1,12 @@
 """Concrete X-models, specializations and Hodge-Deligne values.
 
 An :class:`XModel` is the data needed to turn symbolic classes into concrete
-values: a dimension plus one of several descriptions (affine space, the
-projective line or space, finite-field point counts, an Euler characteristic,
-a Hodge-Deligne polynomial, an explicit symmetric-power table, or the free
-symbolic model in which [Sym^n X] stays the generator S_n).
+values: a dimension plus one of six descriptions.  Affine and projective
+space have Laurent classes in L.  Three models are given by power sums psi^r
+of X: finite-field point counts (psi^r = N_r), an Euler characteristic
+(psi^r = chi) and a Hodge-Deligne polynomial (psi^r = the Adams operation
+u, v -> u^r, v^r); for them Z_X(t) = exp(sum_r psi^r t^r / r) (Macdonald).
+The free symbolic model keeps [Sym^n X] as the generator S_n.
 
 A :class:`Specialization` names the target ring: motivic-L (``LaurentL``),
 count(q) (integers/rationals), euler (L -> 1) or hodge-deligne (L -> uv,
@@ -177,13 +179,13 @@ class XModel(NamedTuple):
 
     @staticmethod
     def proj_line() -> "XModel":
-        return XModel("projline", 1)
+        return XModel.proj_space(1)
 
     @staticmethod
     def proj_space(n: int) -> "XModel":
         if n < 0:
             raise InputError("dimension must be >= 0")
-        return XModel("projspace", n, (n,))
+        return XModel("projspace", n)
 
     @staticmethod
     def point_counts(q: int, counts=None, dim: int = 1) -> "XModel":
@@ -209,13 +211,6 @@ class XModel(NamedTuple):
         return XModel("hd", dim, (poly,))
 
     @staticmethod
-    def sym_table(entries, dim: int) -> "XModel":
-        table = tuple(entries)
-        if not table or table[0] != LaurentL.from_int(1):
-            raise InputError("a Sym table must start with Sym^0 = 1")
-        return XModel("symtable", dim, (table,))
-
-    @staticmethod
     def symbolic(dim: int = 1) -> "XModel":
         """The free model: [Sym^n X] stays the independent generator S_n."""
         return XModel("symbolic", dim)
@@ -226,18 +221,6 @@ class XModel(NamedTuple):
         if self.kind == "counts":
             return Specialization(COUNT, self.params[0])
         return _NATURAL_SPECS[self.kind]
-
-    def _sym_laurent(self, n: int) -> LaurentL:
-        if self.kind == "affine":
-            return LaurentL.term(1, self.dim * n)
-        if self.kind in ("projline", "projspace"):
-            return _proj_space_sym(self.dim, n)
-        if self.kind == "symtable":
-            table = self.params[0]
-            if n >= len(table):
-                raise ModelDataError(f"Sym table only covers n < {len(table)}, asked for {n}")
-            return table[n]
-        raise ModelDataError(f"{self.kind} model has no Laurent Sym classes")
 
     def sym(self, n: int, spec: Specialization | None = None):
         """[Sym^n X] in the target ring (the model's natural target by default).
@@ -271,16 +254,23 @@ class XModel(NamedTuple):
             return c
         return c.substitute_syms(lambda i: self.sym(i, spec), self.L_image(spec))
 
-    def ring_one(self, spec: Specialization | None = None):
-        return self.sym(0, spec)
+    def stable_sym_poles(self) -> int:
+        """k with lim [Sym^n X]/M^n = prod_{i=1..k} 1/(1 - L^-i), M = L^dim: 0 for affine
+        space and the affine-line counts q^r, dim for projective space."""
+        if self.kind == "affine" or (self.kind == "counts" and self.params[1] is None):
+            return 0
+        if self.kind == "projspace":
+            return self.dim
+        raise InputError(
+            f"the M-power normalization needs the stable symmetric-power class, "
+            f"which is not available for the {self.kind} model; use Sym"
+        )
 
     def label(self) -> str:
         if self.kind == "affine":
             return f"A^{self.dim}"
-        if self.kind == "projline":
-            return "P1"
         if self.kind == "projspace":
-            return f"P{self.params[0]}"
+            return f"P{self.dim}"
         if self.kind == "counts":
             q, counts = self.params
             return f"counts:q={q}" + ("" if counts is None else f",N={list(counts)}")
@@ -288,12 +278,10 @@ class XModel(NamedTuple):
             return f"euler:{self.params[0]}"
         if self.kind == "hd":
             return f"hd:{self.params[0]}"
-        if self.kind == "symtable":
-            return f"symtable(dim={self.dim})"
         return f"symbolic(dim={self.dim})"
 
 
-_NATURAL_SPECS = dict.fromkeys(("affine", "projline", "projspace", "symtable", "symbolic"), Specialization(MOTIVIC))
+_NATURAL_SPECS = dict.fromkeys(("affine", "projspace", "symbolic"), Specialization(MOTIVIC))
 _NATURAL_SPECS.update(euler=Specialization(EULER), hd=Specialization(HODGE))
 
 
@@ -309,21 +297,18 @@ def _sym(model: XModel, n: int, spec: Specialization):
             raise InputError("a point-count model only supports the count target")
         if spec.q is not None and spec.q != model.params[0]:
             raise InputError(f"model has q={model.params[0]}, specialization asks q={spec.q}")
-        return _count_sym(model, n)
-    if model.kind == "euler":
+    elif model.kind == "euler":
         if t != EULER:
             raise InputError("an Euler-characteristic model only supports the euler target")
-        return generalized_binomial(model.params[0] + n - 1, n)
-    if model.kind == "hd":
-        if t == HODGE:
-            return _hd_sym(model, n)
-        if t == EULER:
-            return _hd_sym(model, n).at_one()
-        raise InputError("a Hodge-Deligne model supports hodge-deligne or euler targets")
-    # Laurent-backed kinds
-    lau = model._sym_laurent(n)
-    image = model.L_image(spec)
-    return lau if image is None else lau.substitute(image)
+    elif model.kind == "hd":
+        if t not in (HODGE, EULER):
+            raise InputError("a Hodge-Deligne model supports hodge-deligne or euler targets")
+    else:  # affine and projective space: Laurent classes in L
+        lau = LaurentL.term(1, model.dim * n) if model.kind == "affine" else _proj_space_sym(model.dim, n)
+        image = model.L_image(spec)
+        return lau if image is None else lau.substitute(image)
+    sym = _power_sum_sym(model, n)
+    return sym.at_one() if t == EULER and model.kind == "hd" else sym
 
 
 @lru_cache(maxsize=None)
@@ -354,33 +339,34 @@ def _model_counts(model: XModel, r: int) -> int:
     return counts[r - 1]
 
 
-@lru_cache(maxsize=None)
-def _count_sym(model: XModel, n: int) -> int:
-    # n*s_n = sum_{r=1..n} N_r s_{n-r}, from Z = exp(sum N_r t^r / r)
-    syms = [1]
-    for k in range(1, n + 1):
-        acc = 0
-        for r in range(1, k + 1):
-            acc += _model_counts(model, r) * syms[k - r]
-        if acc % k:
-            raise ModelDataError(f"point counts are inconsistent: Sym^{k} is not an integer")
-        val = acc // k
-        if val < 0:
-            raise ModelDataError(f"point counts are inconsistent: Sym^{k} is negative")
-        syms.append(val)
-    return syms[n]
+def _power_sum(model: XModel, r: int):
+    """psi^r [X]: the count N_r, the Euler characteristic, or e(u^r, v^r)."""
+    if model.kind == "counts":
+        return _model_counts(model, r)
+    return model.params[0] if model.kind == "euler" else model.params[0].adams(r)
 
 
 @lru_cache(maxsize=None)
-def _hd_sym(model: XModel, n: int) -> UVPoly:
-    e = model.params[0]
-    syms = [UVPoly.from_int(1)]
-    for k in range(1, n + 1):
-        acc = UVPoly.from_int(0)
-        for r in range(1, k + 1):
-            acc = acc + e.adams(r) * syms[k - r]
-        syms.append(acc.div_exact(k))
-    return syms[n]
+def _power_sum_sym(model: XModel, n: int):
+    """[Sym^n X] for a model given by power sums, from Z = exp(sum_r psi^r t^r / r):
+    n s_n = sum_{r=1..n} psi^r s_(n-r).  Only point counts can make s_n fractional
+    or negative; for the other two models that is an internal fault."""
+    if n == 0:
+        return UVPoly.from_int(1) if model.kind == "hd" else 1
+    for k in range(1, n):  # rows in increasing n, so that no call recurses more than one deep
+        _power_sum_sym(model, k)
+    acc = sum(_power_sum(model, r) * _power_sum_sym(model, n - r) for r in range(1, n + 1))
+    if model.kind == "hd":
+        return acc.div_exact(n)
+    val, rem = divmod(acc, n)
+    if model.kind == "euler":
+        if rem:
+            raise InternalCheckError(f"inexact division of an Euler Sym^{n} by {n}")
+    elif rem:
+        raise ModelDataError(f"point counts are inconsistent: Sym^{n} is not an integer")
+    elif val < 0:
+        raise ModelDataError(f"point counts are inconsistent: Sym^{n} is negative")
+    return val
 
 
 def zeta_coeffs(X: XModel, N: int, spec: Specialization | None = None) -> TruncSeries:
@@ -393,8 +379,9 @@ def zeta_coeffs(X: XModel, N: int, spec: Specialization | None = None) -> TruncS
 def macdonald_check(chi: int, N: int) -> bool:
     """Euler-specialization identities for configuration spaces.
 
-    Checks that the Euler zeta series is (1-t)^(-chi) and that the distinct-
-    point series Z(t)/Z(t^2) has coefficients C(chi, j), i.e. equals (1+t)^chi.
+    Checks that the Euler zeta series, which the power-sum recurrence builds,
+    is (1-t)^(-chi), and that the distinct-point series Z(t)/Z(t^2) has
+    coefficients C(chi, j), i.e. equals (1+t)^chi.
     """
     X = XModel.euler_char(chi)
     z = zeta_coeffs(X, N)
@@ -444,8 +431,7 @@ def parse_model(text: str) -> XModel:
         return XModel.affine_space(int(m.group(1)))
     m = re.match(r"^P(\d+)$", text)
     if m:
-        n = int(m.group(1))
-        return XModel.proj_line() if n == 1 else XModel.proj_space(n)
+        return XModel.proj_space(int(m.group(1)))
     m = _MODEL_RE_COUNTS.match(text)
     if m:
         q = int(m.group(1))

@@ -35,9 +35,8 @@ from functools import reduce
 from itertools import chain
 from numbers import Rational
 from operator import or_
-from typing import NamedTuple
 
-from .errors import DivergenceError, InputError, InternalCheckError, SymbolicEvaluationError
+from .errors import InputError, InternalCheckError, SymbolicEvaluationError
 
 NEG_INF = float("-inf")
 
@@ -554,25 +553,15 @@ class TruncSeries:
         return json.dumps(self.to_json())
 
 
-class EvalResult(NamedTuple):
-    """Value of a series at t = L^-m, plus the tail left out of the truncation."""
-
-    value: MotivicClass
-    discarded_dim: float
-
-
-def eval_at_L_power(
-    f: TruncSeries, m: int, d: int, codim_cutoff: int, require_margin: bool = True
-) -> EvalResult:
+def eval_at_L_power(f: TruncSeries, m: int, d: int, codim_cutoff: int) -> tuple[MotivicClass, float]:
     """Evaluate sum_n f_n L^(-mn), keeping monomials of dimension >= -codim_cutoff.
 
-    Coefficient n of a configuration-style series has dimension at most d*n,
-    so m > d makes term dimensions decay; ``require_margin`` enforces that
-    precondition (limits at m = d perform their own convergence checks and
-    disable it).  Coefficients must be free of symmetric-power generators.
+    Returns the value and the largest dimension left out.  Coefficient n of a
+    configuration-style series has dimension at most d*n, so m > d makes term
+    dimensions decay; the caller checks that (``genfun._Ring.evaluate``), and
+    limits at m = d check convergence themselves.  Coefficients must be free
+    of symmetric-power generators.
     """
-    if require_margin and m <= d:
-        raise DivergenceError(f"evaluation at L^-{m} diverges for dimension {d} (need m > d)")
     grade = dim_grade(d)
     total = MotivicClass.zero()
     discarded = NEG_INF
@@ -590,4 +579,4 @@ def eval_at_L_power(
         term, drop = term.truncated(grade, -codim_cutoff)
         discarded = max(discarded, drop)
         total = total + term
-    return EvalResult(total, discarded)
+    return total, discarded

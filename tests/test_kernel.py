@@ -174,7 +174,7 @@ def test_proj_space_recurrence_matches_the_product_formula(m):
 
 
 def test_projline_is_proj_space_one():
-    assert [XModel.proj_line().sym(n) for n in range(8)] == [XModel.proj_space(1).sym(n) for n in range(8)]
+    assert XModel.proj_line() == XModel.proj_space(1)
     assert XModel.proj_line().sym(4) == LaurentL.of({k: 1 for k in range(5)})
 
 

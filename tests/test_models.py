@@ -61,7 +61,8 @@ class TestSymClasses:
             XModel.hodge_deligne("1+uv"),
             XModel.symbolic(),
         ):
-            assert X.sym(0) == X.ring_one()
+            assert X.sym(0) == 1
+            assert X.sym(0) == X.sym(0, X.natural_spec())
 
     def test_symbolic(self):
         X = XModel.symbolic()
@@ -70,17 +71,14 @@ class TestSymClasses:
     def test_natural_spec_of_every_kind(self):
         expect = {
             XModel.affine_space(2): Specialization(MOTIVIC),
-            XModel.proj_line(): Specialization(MOTIVIC),
             XModel.proj_space(3): Specialization(MOTIVIC),
-            XModel.sym_table([LaurentL.from_int(1)], 1): Specialization(MOTIVIC),
             XModel.symbolic(): Specialization(MOTIVIC),
             XModel.point_counts(5): Specialization(COUNT, 5),
             XModel.point_counts(7, counts=[8]): Specialization(COUNT, 7),
             XModel.euler_char(-1): Specialization(EULER),
             XModel.hodge_deligne("1+uv"): Specialization(HODGE),
         }
-        assert {X.kind for X in expect} == {"affine", "projline", "projspace", "symtable", "symbolic",
-                                            "counts", "euler", "hd"}
+        assert {X.kind for X in expect} == {"affine", "projspace", "symbolic", "counts", "euler", "hd"}
         for X, spec in expect.items():
             assert type(X.natural_spec()) is Specialization
             assert X.natural_spec() == spec
@@ -214,6 +212,12 @@ class TestChecks:
     @pytest.mark.parametrize("chi", [-2, -1, 0, 1, 2, 3])
     def test_macdonald(self, chi):
         assert Mo.macdonald_check(chi, 8)
+
+    @pytest.mark.parametrize("chi", range(-3, 4))
+    def test_euler_recurrence_is_the_binomial(self, chi):
+        # the power-sum recurrence against the closed form Z(t) = (1-t)^-chi
+        X = XModel.euler_char(chi)
+        assert [X.sym(n) for n in range(13)] == [Mo.generalized_binomial(chi + n - 1, n) for n in range(13)]
 
     def test_macdonald_chi0_vanishing(self):
         X = XModel.euler_char(0)

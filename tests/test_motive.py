@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from disczeta import motive as M
 from disczeta.errors import DivergenceError, InputError, InternalCheckError, SymbolicEvaluationError
+from disczeta.genfun import _ring
+from disczeta.models import Specialization, XModel
 from disczeta.motive import (
     GRADING_POINTS,
     LaurentL,
@@ -257,20 +259,21 @@ class TestEval:
     def test_geometric_zeta_value(self):
         # Z_{A^1}(L^-2) = sum L^-n, cutoff 8
         z = geometric_series(M.L, 10)
-        got = eval_at_L_power(z, m=2, d=1, codim_cutoff=8)
+        value, dropped = eval_at_L_power(z, m=2, d=1, codim_cutoff=8)
         expect = MotivicClass.from_laurent(LaurentL.of({-k: 1 for k in range(9)}))
-        assert got.value == expect
-        assert got.discarded_dim == -9
+        assert value == expect
+        assert dropped == -9
 
     def test_point_zeta(self):
         z = TruncSeries.from_coeffs([1] * 7)
-        got = eval_at_L_power(z, m=1, d=0, codim_cutoff=6)
-        assert got.value == MotivicClass.from_laurent(LaurentL.of({-k: 1 for k in range(7)}))
+        value, _ = eval_at_L_power(z, m=1, d=0, codim_cutoff=6)
+        assert value == MotivicClass.from_laurent(LaurentL.of({-k: 1 for k in range(7)}))
 
     def test_divergence(self):
+        # the m > d check lives in the evaluation ring that every production call goes through
         z = geometric_series(M.L, 5)
         with pytest.raises(DivergenceError):
-            eval_at_L_power(z, m=1, d=1, codim_cutoff=4)
+            _ring(XModel.affine_space(1), Specialization()).evaluate(z, 1, 4)
 
     def test_symbolic_rejected(self):
         z = TruncSeries.from_coeffs([1, MotivicClass.sym(1), 0])
@@ -279,8 +282,8 @@ class TestEval:
 
     def test_cutoff_monotone(self):
         z = geometric_series(M.L, 20)
-        small = eval_at_L_power(z, m=2, d=1, codim_cutoff=5).value
-        large = eval_at_L_power(z, m=2, d=1, codim_cutoff=9).value
+        small, _ = eval_at_L_power(z, m=2, d=1, codim_cutoff=5)
+        large, _ = eval_at_L_power(z, m=2, d=1, codim_cutoff=9)
         trimmed, _ = large.truncated(dim_grade(1), -5)
         assert trimmed == small
 
