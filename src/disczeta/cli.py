@@ -232,6 +232,8 @@ def cmd_oracle(args) -> int:
     elif args.op in ("syms", "hyper"):
         if args.j is None and not args.sweep_j:
             raise InputError(f"oracle --op {args.op} needs --j or --sweep-j")
+        if args.j is not None and args.sweep_j:
+            raise InputError("--j cannot be combined with --sweep-j")
         if args.op == "syms":
             count, key, sweep_key = O.count_sym_s, "exact_count", "counts"
         else:

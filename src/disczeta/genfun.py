@@ -506,7 +506,7 @@ def hyper_density(
     through the point-graded inverse series zinv_{*^s}, is held by the tier-1
     test ``tests/test_genfun.py::TestSecondRoutes::test_zinv_star_bridge``.
     """
-    _check_hyper_args(X, d, s)
+    _check_hyper_args(X, d, cutoff, s)
     # term k has dimension <= -k, so order cutoff+1 already covers the cutoff
     order = cutoff + 1
     Z = zeta_series(X, order, spec)
@@ -522,7 +522,7 @@ def hyper_ordered_density(
     """Limiting density with a choice of s ordered singular points:
     [X^s - diagonal] / zeta_X(d+1) * (L^-(d+1) / (1 - L^-(d+1)))^s.
     """
-    _check_hyper_args(X, d, s)
+    _check_hyper_args(X, d, cutoff, s)
     m = d + 1
     inner = cutoff + s * d + 2
     w_img = w_of(X, (1,) * s, spec)
@@ -541,7 +541,7 @@ def multi_point_density(
     X: XModel, d: int, m: int, cutoff: int, spec: Specialization | None = None
 ) -> HypersurfaceDensity:
     """Limiting density of divisors with no m-multiple point: 1/zeta_X(C(d+m-1, d))."""
-    _check_hyper_args(X, d)
+    _check_hyper_args(X, d, cutoff)
     if m < 2:
         raise InputError("m must be >= 2")
     arg = math.comb(d + m - 1, d)
@@ -551,13 +551,19 @@ def multi_point_density(
     return HypersurfaceDensity(d, None, value, f"1/zeta_X({arg})", cutoff, tail)
 
 
-def _check_hyper_args(X: XModel, d: int, s: int = 0) -> None:
+def _check_hyper_args(X: XModel, d: int, cutoff: int, s: int = 0) -> None:
+    _check_cutoff(cutoff)
     if d < 1:
         raise InputError("hypersurface densities need d >= 1")
     if X.dim != d:
         raise InputError(f"model dimension {X.dim} does not match d={d}")
     if s < 0:
         raise InputError("s must be >= 0")
+
+
+def _check_cutoff(cutoff: int) -> None:
+    if cutoff < 0:
+        raise InputError("codimension cutoff must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -592,6 +598,7 @@ def stable_limit(
     multiplies by the stable symmetric-power class of X, which is only
     available for the rational models built in.
     """
+    _check_cutoff(cutoff)
     if normalization not in ("Sym", "M"):
         raise InputError("normalization must be 'Sym' or 'M'")
     if Y.grading != GRADING_MULT:
@@ -628,6 +635,7 @@ def distinct_nu_limit(
     recursion is held by the tier-1 test
     ``tests/test_genfun.py::TestSecondRoutes::test_distinct_nu_closed_form_matches_recursion``.
     """
+    _check_cutoff(cutoff)
     nu = int_partition(nu)
     if any(p < 2 for p in nu):
         raise InputError(f"distinct_nu_limit needs all parts > 1, got {nu}")

@@ -132,7 +132,7 @@ class Specialization(_SpecFields):
             return Specialization(MOTIVIC)
         if text in (EULER, HODGE, "hd"):
             return Specialization(EULER if text == EULER else HODGE)
-        m = re.match(r"^count(?::q=(\d+))?$", text)
+        m = text.startswith(COUNT) and re.match(r"^count(?::q=(\d+))?$", text)
         if m:
             return Specialization(COUNT, int(m.group(1)) if m.group(1) else None)
         raise InputError(f"cannot parse specialization {text!r}")
@@ -350,7 +350,8 @@ def _power_sum(model: XModel, r: int):
 def _power_sum_sym(model: XModel, n: int):
     """[Sym^n X] for a model given by power sums, from Z = exp(sum_r psi^r t^r / r):
     n s_n = sum_{r=1..n} psi^r s_(n-r).  Only point counts can make s_n fractional
-    or negative; for the other two models that is an internal fault."""
+    or imply a negative number of closed points; for the other two models a
+    fractional s_n is an internal fault."""
     if n == 0:
         return UVPoly.from_int(1) if model.kind == "hd" else 1
     for k in range(1, n):  # rows in increasing n, so that no call recurses more than one deep
@@ -364,9 +365,16 @@ def _power_sum_sym(model: XModel, n: int):
             raise InternalCheckError(f"inexact division of an Euler Sym^{n} by {n}")
     elif rem:
         raise ModelDataError(f"point counts are inconsistent: Sym^{n} is not an integer")
-    elif val < 0:
-        raise ModelDataError(f"point counts are inconsistent: Sym^{n} is negative")
+    elif _closed_points(model, n) < 0:  # none negative to degree n: Sym^n >= 0 follows
+        raise ModelDataError(f"point counts are inconsistent: the closed points of degree {n} are negative")
     return val
+
+
+@lru_cache(maxsize=None)
+def _closed_points(model: XModel, d: int) -> int:
+    """d times the number of closed points of degree d: sum_{e | d} mu(d/e) N_e, by
+    N_d = sum_{e | d} (e times the closed points of degree e)."""
+    return _model_counts(model, d) - sum(_closed_points(model, e) for e in range(1, d) if d % e == 0)
 
 
 def zeta_coeffs(X: XModel, N: int, spec: Specialization | None = None) -> TruncSeries:
@@ -417,36 +425,29 @@ def product_with_line_check(X: XModel, N: int) -> bool:
     return all(XL.sym(n) == q**n * X.sym(n) for n in range(N + 1))
 
 
-_MODEL_RE_COUNTS = re.compile(r"^counts:q=(\d+)(?:,N=\[([\d,\s]*)\])?(?:,d=(\d+))?$")
+def _counts_model(m) -> XModel:
+    counts = None if m[2] is None else [int(x) for x in m[2].split(",") if x.strip()]
+    return XModel.point_counts(int(m[1]), counts, int(m[3]) if m[3] else 1)
+
+
+_MODEL_FORMS = (  # (prefix, the pattern of the form, its model from the match); prefixes are disjoint
+    ("A", r"^A\^?(\d+)$", lambda m: XModel.affine_space(int(m[1]))),
+    ("P", r"^P(\d+)$", lambda m: XModel.proj_space(int(m[1]))),
+    ("counts:", r"^counts:q=(\d+)(?:,N=\[([\d,\s]*)\])?(?:,d=(\d+))?$", _counts_model),
+    ("euler:", r"^euler:(-?\d+)$", lambda m: XModel.euler_char(int(m[1]))),
+    ("hd:", r"^hd:(.+?)(?:,d=(\d+))?$", lambda m: XModel.hodge_deligne(m[1], int(m[2]) if m[2] else None)),
+    ("symbolic", r"^symbolic(?::(\d+))?$", lambda m: XModel.symbolic(int(m[1]) if m[1] else 1)),
+)
 
 
 def parse_model(text: str) -> XModel:
     """Parse the CLI shorthand: A^d, P1, Pn, pt, counts:q=2,N=[2,4,8], euler:2,
-    hd:1+uv, symbolic[:d]."""
+    hd:1+uv, symbolic[:d].  Only the pattern of the form the prefix names is compiled."""
     text = text.strip()
     if text == "pt":
         return XModel.point()
-    m = re.match(r"^A\^?(\d+)$", text)
-    if m:
-        return XModel.affine_space(int(m.group(1)))
-    m = re.match(r"^P(\d+)$", text)
-    if m:
-        return XModel.proj_space(int(m.group(1)))
-    m = _MODEL_RE_COUNTS.match(text)
-    if m:
-        q = int(m.group(1))
-        counts = None
-        if m.group(2) is not None:
-            counts = [int(x) for x in m.group(2).split(",") if x.strip()] or []
-        dim = int(m.group(3)) if m.group(3) else 1
-        return XModel.point_counts(q, counts, dim)
-    m = re.match(r"^euler:(-?\d+)$", text)
-    if m:
-        return XModel.euler_char(int(m.group(1)))
-    m = re.match(r"^hd:(.+?)(?:,d=(\d+))?$", text)
-    if m:
-        return XModel.hodge_deligne(m.group(1), int(m.group(2)) if m.group(2) else None)
-    m = re.match(r"^symbolic(?::(\d+))?$", text)
-    if m:
-        return XModel.symbolic(int(m.group(1)) if m.group(1) else 1)
+    for prefix, pattern, build in _MODEL_FORMS:
+        m = text.startswith(prefix) and re.match(pattern, text)
+        if m:
+            return build(m)
     raise InputError(f"cannot parse X-model {text!r}")

@@ -19,6 +19,12 @@ Three layers:
   coefficient ring that supports +, -, * and comparison with int.  Over
   ``SparsePoly`` values each coefficient of a product or inverse is one ``dot``.
 
+Every reader of keys goes through one decoder, ``_decode``: it turns the
+S-part ``key >> 16`` of a key into its exponents, its nonzero pairs (i, e_i)
+and its text ``*S_i^e_i``, and remembers the last few thousand S-parts.  A
+``LaurentL`` or ``MotivicClass`` prints its monomials with the S-monomials
+ascending by their (i, e_i) pairs, then the L exponent descending.
+
 Under a declared ambient dimension d, the monomial prod S_i^{e_i} * L^k has
 dimension d * sum(i*e_i) + k (``dim_grade``); evaluation at t = L^-m filters
 by this dimensional grading.
@@ -30,9 +36,10 @@ between threads.
 from __future__ import annotations
 
 import json
+import struct
 from fractions import Fraction
-from functools import reduce
-from itertools import chain
+from functools import lru_cache, reduce
+from itertools import chain, compress
 from numbers import Rational
 from operator import or_
 
@@ -65,10 +72,15 @@ def _combine(a: dict, b: dict, sign: int) -> dict:
     return acc
 
 
-def _print_order(item) -> tuple:
-    """S-monomial ((i, e_i), ...) ascending, then the L-exponent descending."""
-    key = item[0]
-    return tuple((i, e) for i, e in enumerate(key) if i and e), -key[0]
+@lru_cache(maxsize=4096)
+def _decode(syms: int) -> tuple:
+    """((e_1, ..., e_r), the nonzero (i, e_i), their text "*S_i^e_i") of an S-part
+    ``syms`` = sum e_i << 16(i-1), e_r > 0: the slots are read as little-endian
+    16-bit words in C, whatever the host's byte order."""
+    n = -(-syms.bit_length() // _BITS)
+    exps = struct.unpack(f"<{n}H", syms.to_bytes(2 * n, "little"))
+    pairs = tuple(compress(enumerate(exps, 1), exps))
+    return exps, pairs, "".join(f"*S_{i}" if e == 1 else f"*S_{i}^{e}" for i, e in pairs)
 
 
 class SparsePoly:
@@ -105,11 +117,11 @@ class SparsePoly:
     @classmethod
     def exponents(cls, key: int) -> tuple:
         """The exponent tuple of a key, without trailing zeros past the signed exponents."""
-        exps = []
-        while key or len(exps) < cls._signed:
-            exps.append((key & _MASK) - (_OFFSET if len(exps) < cls._signed else 0))
-            key >>= _BITS
-        return tuple(exps)
+        signed = []
+        for _ in range(cls._signed):  # the offset slots of L, or of u and v
+            key, e = divmod(key, 1 << _BITS)
+            signed.append(e - _OFFSET)
+        return (*signed, *_decode(key)[0])
 
     @classmethod
     def of(cls, mapping: dict):
@@ -261,17 +273,13 @@ class SparsePoly:
     def __str__(self) -> str:
         if not self._d:
             return "0"
-        chunks = []
-        for key, v in sorted(((self.exponents(k), v) for k, v in self._d.items()), key=_print_order):
-            bits = [str(v)]
-            if key[0]:
-                bits.append(f"L^{key[0]}")
-            bits.extend(f"S_{i}" if e == 1 else f"S_{i}^{e}" for i, e in enumerate(key) if i and e)
-            chunks.append("*".join(bits))
-        out = chunks[0]
-        for chunk in chunks[1:]:
-            out += f" - {chunk[1:]}" if chunk.startswith("-") else f" + {chunk}"
-        return out
+        rows = []  # (S pairs, -L exponent, chunk): keys differ, so chunks are never compared
+        for k, v in self._d.items():
+            _, pairs, syms = _decode(k >> _BITS)
+            e = (k & _MASK) - _OFFSET
+            rows.append((pairs, -e, f"{v}*L^{e}{syms}" if e else f"{v}{syms}"))
+        rows.sort()
+        return " + ".join([row[2] for row in rows]).replace(" + -", " - ")
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({dict(self.terms)!r})"
@@ -282,7 +290,7 @@ def dim_grade(d: int):
     dimension d: k_0 + d * sum(i * k_i)."""
 
     def grade(key: int) -> int:
-        return sum(d * i * e if i else e for i, e in enumerate(MotivicClass.exponents(key)))
+        return (key & _MASK) - _OFFSET + d * sum(i * e for i, e in _decode(key >> _BITS)[1])
 
     return grade
 
@@ -380,13 +388,11 @@ class MotivicClass(SparsePoly):
         total = 0
         for syms, c in coeffs.items():
             part = LaurentL(c) if l_value is None else LaurentL(c).substitute(l_value)
-            for i in range(1, syms.bit_length() // _BITS + 2):  # the slots of S_1, S_2, ...
-                e = syms >> (_BITS * i - _BITS) & _MASK
-                if e:
-                    power = powers.get((i, e))
-                    if power is None:
-                        power = powers[i, e] = sym_value(i) ** e
-                    part = part * power
+            for i, e in _decode(syms)[1]:
+                power = powers.get((i, e))
+                if power is None:
+                    power = powers[i, e] = sym_value(i) ** e
+                part = part * power
             total = total + part
         return total
 

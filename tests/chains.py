@@ -1,11 +1,16 @@
 """<<-chains of generalized partitions, the test suite's reference route to [w_lambda],
 with formalization, a breadth-first merge closure and the profile sum for
-zinv_lambda as references."""
+zinv_lambda as references; and the regex-chain parsers of ``--X`` and
+``--spec`` that try every pattern in turn, as references for the parsers that
+dispatch on the prefix."""
 
 import math
+import re
 
 from disczeta import genfun as G
 from disczeta import partitions as pt
+from disczeta.errors import InputError
+from disczeta.models import COUNT, EULER, HODGE, MOTIVIC, Specialization, XModel
 from disczeta.motive import GRADING_POINTS, TruncSeries
 from disczeta.partitions import GenPartition, Part, elementary_merges, merge_closure
 
@@ -75,3 +80,47 @@ def ll_chains(lam: GenPartition, max_len: int | None = None) -> list[tuple[GenPa
 
     extend([lam])
     return chains
+
+
+def parse_model_chain(text: str) -> XModel:
+    """``models.parse_model`` as a chain of regex matches, tried in order."""
+    text = text.strip()
+    if text == "pt":
+        return XModel.point()
+    m = re.match(r"^A\^?(\d+)$", text)
+    if m:
+        return XModel.affine_space(int(m.group(1)))
+    m = re.match(r"^P(\d+)$", text)
+    if m:
+        return XModel.proj_space(int(m.group(1)))
+    m = re.match(r"^counts:q=(\d+)(?:,N=\[([\d,\s]*)\])?(?:,d=(\d+))?$", text)
+    if m:
+        q = int(m.group(1))
+        counts = None
+        if m.group(2) is not None:
+            counts = [int(x) for x in m.group(2).split(",") if x.strip()] or []
+        dim = int(m.group(3)) if m.group(3) else 1
+        return XModel.point_counts(q, counts, dim)
+    m = re.match(r"^euler:(-?\d+)$", text)
+    if m:
+        return XModel.euler_char(int(m.group(1)))
+    m = re.match(r"^hd:(.+?)(?:,d=(\d+))?$", text)
+    if m:
+        return XModel.hodge_deligne(m.group(1), int(m.group(2)) if m.group(2) else None)
+    m = re.match(r"^symbolic(?::(\d+))?$", text)
+    if m:
+        return XModel.symbolic(int(m.group(1)) if m.group(1) else 1)
+    raise InputError(f"cannot parse X-model {text!r}")
+
+
+def parse_spec_chain(text: str) -> Specialization:
+    """``models.Specialization.parse`` with its ``count`` pattern tried on every input."""
+    text = text.strip()
+    if text in (MOTIVIC, "motivic", "L"):
+        return Specialization(MOTIVIC)
+    if text in (EULER, HODGE, "hd"):
+        return Specialization(EULER if text == EULER else HODGE)
+    m = re.match(r"^count(?::q=(\d+))?$", text)
+    if m:
+        return Specialization(COUNT, int(m.group(1)) if m.group(1) else None)
+    raise InputError(f"cannot parse specialization {text!r}")

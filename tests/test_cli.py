@@ -110,6 +110,32 @@ def test_hyper_multi_rejects_ordered_and_s(capsys):
     assert "expression: 1/zeta_X(2)" in capsys.readouterr().out
 
 
+def test_negative_cutoff_is_rejected(capsys):
+    for argv in (
+        ["hyper", "--X", "P1", "--d", "1", "--s", "1", "--spec", "count:q=3"],
+        ["hyper", "--X", "P1", "--d", "1", "--s", "1", "--ordered"],
+        ["hyper", "--X", "P1", "--d", "1", "--multi", "2"],
+        ["limit", "--of", "k", "--X", "P1"],
+        ["limit", "--of", "distinctnu", "--nu", "2", "--X", "A^1"],
+    ):
+        assert cli.main(argv + ["--cutoff", "-1"]) == 2, argv
+        assert "codimension cutoff must be >= 0" in capsys.readouterr().err
+        assert cli.main(argv + ["--cutoff", "0"]) == 0, argv
+        assert "value: " in capsys.readouterr().out
+
+
+def test_oracle_j_with_sweep_j_is_rejected(capsys):
+    for op in ("syms", "hyper"):
+        assert cli.main(["oracle", "--op", op, "--q", "3", "--j", "4", "--sweep-j", "3:4"]) == 2
+        assert "--j cannot be combined with --sweep-j" in capsys.readouterr().err
+
+
+def test_counts_with_negative_closed_points_exit_2(capsys):
+    assert cli.main(["series", "zeta", "--X", "counts:q=2,N=[5,1]", "--trunc", "2"]) == 2
+    assert "the closed points of degree 2 are negative" in capsys.readouterr().err
+    assert cli.main(["series", "zeta", "--X", "counts:q=2,N=[5,1]", "--trunc", "1"]) == 0
+
+
 INTDENSITY = ["oracle", "--op", "intdensity", "--a", "2", "--b", "2", "--r", "0", "--bound", "1000"]
 NOTE = "zeta arguments taken positive; the source display writes zeta(-a), zeta(-b)"
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chains import parse_model_chain, parse_spec_chain
 from disczeta import genfun as G
 from disczeta import models as Mo
 from disczeta.errors import InputError, ModelDataError
@@ -33,6 +34,20 @@ class TestSymClasses:
     def test_counts_point(self):
         X = XModel.point_counts(2, counts=[1] * 10, dim=0)
         assert all(X.sym(n) == 1 for n in range(10))
+
+    def test_counts_with_negative_closed_points(self):
+        # N_2 - N_1 = -4: minus two closed points of degree 2, although Sym^2 = 13 is an integer
+        X = XModel.point_counts(2, counts=[5, 1])
+        assert X.sym(1) == 5
+        with pytest.raises(ModelDataError, match="closed points of degree 2 are negative"):
+            X.sym(2)
+        # closed points 1, 2, 1, 1, 0 of degrees 1..5, then N_6 - N_3 - N_2 + N_1 = 2 - 4 - 5 + 1 = -6
+        X = XModel.point_counts(2, counts=[1, 5, 4, 9, 1, 2])
+        assert [X.sym(n) for n in range(6)] == [1, 1, 3, 4, 8, 10]
+        with pytest.raises(ModelDataError, match="closed points of degree 6 are negative"):
+            X.sym(6)
+        with pytest.raises(ModelDataError, match="Sym\\^3 is not an integer"):  # 7 points / 3
+            XModel.point_counts(2, counts=[3, 5, 10]).sym(3)
 
     def test_counts_insufficient_data(self):
         X = XModel.point_counts(2, counts=[2, 4])
@@ -355,3 +370,44 @@ class TestParseModel:
     def test_bad(self):
         with pytest.raises(InputError):
             Mo.parse_model("B^2")
+
+
+# every form, each with malformed neighbours; the regex chain in ``chains`` is the reference
+MODEL_TEXTS = [
+    "pt", " pt ", "pt:1", "A^1", "A1", "A^12", "A^", "A", "A^-1", "A^1\n", "P", "P1", "P0", "P12", "Pt", "P-1",
+    "counts:q=2", "counts:q=", "counts:q=1", "counts:q=2,N=[2,4,8]", "counts:q=2,N=[]", "counts:q=2,N=[2, 4]",
+    "counts:q=2,N=[,]", "counts:q=2,d=2", "counts:q=2,N=[1],d=0", "counts:q=2,N=[-1]", "counts:q=2,N=2",
+    "counts:", "counts", "count:q=3", "euler:2", "euler:-2", "euler:", "euler:x", "euler", "hd:", "hd:1+uv",
+    "hd:1+uv,d=3", "hd:1+uv,d=", "hd:1+w", "hd", "symbolic", "symbolic:2", "symbolic:", "symbolic:x",
+    "symbolicfoo", "symbolic:2:3", "B^2", "", "  ", "a^1", "p1", "A\u0663", "P\u0661",
+]
+SPEC_TEXTS = [
+    "motivic-L", "motivic", "L", " L ", "euler", "hodge-deligne", "hd", "count", "count:q=3", "count:q=",
+    "count:q=1", "count:q=12", "count:", "countq=3", "counts", "counts:q=3", "Count", "", "foo", "count:q=\u0663",
+]
+FRAGMENTS = ["A", "P", "^", "1", "2", "-", ":", "q=", "N=[", "]", ",", "d=", "counts", "count", "euler", "hd",
+             "symbolic", "pt", "uv", "+", "u", " ", "motivic", "L", "x"]
+
+
+def _outcome(parse, text):
+    """The parsed value, or the type and message of what parsing raised."""
+    try:
+        return parse(text)
+    except Exception as exc:  # noqa: BLE001 - the two parsers must fail alike, whatever they raise
+        return type(exc), str(exc)
+
+
+class TestParsersMatchTheRegexChain:
+    @pytest.mark.parametrize("text", MODEL_TEXTS)
+    def test_parse_model(self, text):
+        assert _outcome(Mo.parse_model, text) == _outcome(parse_model_chain, text)
+
+    @pytest.mark.parametrize("text", SPEC_TEXTS)
+    def test_parse_spec(self, text):
+        assert _outcome(Specialization.parse, text) == _outcome(parse_spec_chain, text)
+
+    @given(st.lists(st.sampled_from(FRAGMENTS), max_size=6).map("".join))
+    @settings(max_examples=300, deadline=None)
+    def test_fragment_strings(self, text):
+        assert _outcome(Mo.parse_model, text) == _outcome(parse_model_chain, text)
+        assert _outcome(Specialization.parse, text) == _outcome(parse_spec_chain, text)

@@ -5,13 +5,14 @@ packed: exponent tuples as dict keys, an exponent-wise tuple sum in the
 product loop, and the printing rules of ``MotivicClass``/``LaurentL`` and of
 ``UVPoly``.  Every operation on packed values must agree with it, negative
 L, u and v exponents included.  The last tests pin the slot ranges: L, u and
-v exponents in [-2^14, 2^14), S exponents in [0, 2^15), S_i for i < 1024.
+v exponents in [-2^14, 2^14), S exponents in [0, 2^15), S_i for i < 1024, and
+print monomials with exponents anywhere in those ranges.
 """
 
 from operator import add
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from disczeta import motive as M
@@ -117,11 +118,16 @@ def _pack(ref: Ref, cls):
     return cls.of(ref.d)
 
 
+def s_parts(exps):
+    """S-parts (e_1, ..., e_r), e_r > 0, with at most four of S_1, ..., S_20 present."""
+    return st.dictionaries(st.integers(min_value=1, max_value=20), exps, max_size=4).map(
+        lambda es: tuple(es.get(i, 0) for i in range(1, max(es, default=0) + 1))
+    )
+
+
 coeffs = st.integers(min_value=-6, max_value=6)
 l_exps = st.integers(min_value=-9, max_value=9)
-s_keys = st.lists(st.integers(min_value=0, max_value=3), max_size=4).map(
-    lambda es: tuple(es[: max((i + 1 for i, e in enumerate(es) if e), default=0)])
-)
+s_keys = s_parts(st.integers(min_value=1, max_value=3))
 KEYS = {
     LaurentL: st.tuples(l_exps),
     MotivicClass: st.builds(lambda k0, rest: (k0, *rest), l_exps, s_keys),
@@ -232,3 +238,26 @@ def test_an_exponent_past_its_slot_raises(name):
 def test_a_monomial_at_the_slot_edges_prints_exactly():
     assert str(L_(L_BOTTOM) * S_(2, S_TOP)) == f"1*L^{L_BOTTOM}*S_2^{S_TOP}"
     assert str(UV_(-1, L_BOTTOM, L_TOP)) == f"-u^{L_BOTTOM}*v^{L_TOP}"
+
+
+WIDE_KEYS = st.builds(  # L^k_0 S_1^k_1 ... S_r^k_r with every exponent anywhere in its slot
+    lambda k0, rest: (k0, *rest),
+    st.integers(min_value=L_BOTTOM, max_value=L_TOP),
+    s_parts(st.integers(min_value=1, max_value=S_TOP)),
+)
+
+
+@given(st.dictionaries(WIDE_KEYS, st.integers(min_value=-(10**20), max_value=10**20), max_size=8))
+@example({(0, 0, 1): 3, (0,) * 10 + (1,): 1})  # S_2 before S_10
+@example({(-4, 1, 0, 2): -5, (3, 1, 0, 2): 1, (2,): -1, (-3,): 7})  # a negative leading coefficient, L^-4 with S
+@example({(L_BOTTOM, 0, S_TOP): 1, (L_TOP, S_TOP): -1, (0,) * 20 + (S_TOP,): 2})
+@settings(max_examples=200, deadline=None)
+def test_printing_matches_the_reference_at_wide_keys(d):
+    ref = Ref(d)
+    check(_pack(ref, MotivicClass), ref)
+    laurent = Ref({k: v for k, v in d.items() if len(k) == 1})
+    check(_pack(laurent, LaurentL), laurent)
+
+
+def test_the_key_decoder_memo_is_bounded():
+    assert M._decode.cache_info().maxsize is not None
