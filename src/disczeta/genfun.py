@@ -35,6 +35,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from typing import NamedTuple
 
 from . import partitions as pt
@@ -56,6 +57,7 @@ from .motive import (
     eval_at_L_power,
 )
 from .partitions import GenPartition, int_partition
+from .records import strict
 
 ZINV_GUARD = 10**4  # sum_{k <= N-|lambda|} p(k), the monomials of a symbolic zetainv: admits t^25, stops t^26
 Q_GUARD = 2**16  # elements of Q for zinv_lambda: admits N - |lambda| <= 16
@@ -116,13 +118,6 @@ def _w_profile(profile: tuple[int, ...]) -> MotivicClass:
                     collided.append(m - k)
             minus[tuple(sorted(collided, reverse=True))] += 1
     return MotivicClass.combination([(1, head)] + [(-n, _w_profile(p)) for p, n in minus.items()])
-
-
-def _formalization_with_profile(profile: tuple[int, ...]) -> GenPartition:
-    parts = []
-    for i, m in enumerate(profile, start=1):
-        parts.extend([pt.Part.gen(f"a{i}")] * m)
-    return GenPartition.of(parts)
 
 
 def w_class(lam: GenPartition | tuple[int, ...]) -> MotivicClass:
@@ -208,38 +203,48 @@ def k_lt_a_nu(
     return _k_profile(X, spec, _profile_of_ints(nu), a, N)
 
 
+def _member_counts(profile: tuple[int, ...], a: int) -> Counter:
+    """(multiplicity profile, excess) -> how many members of A_<a(nu), nu of profile ``profile``.
+
+    A member adds a multiset of k in [0, a) to the m copies of each value of nu:
+    its profile joins those multisets' profiles, its excess sums all the k."""
+    counts = Counter({((), 0): 1})
+    for m in profile:
+        grown: Counter = Counter()
+        for ks in combinations_with_replacement(range(a), m):
+            split, excess = _profile_of_ints(ks), sum(ks)
+            for (joint, total), n in counts.items():
+                grown[tuple(sorted(joint + split, reverse=True)), total + excess] += n
+        counts = grown
+    return counts
+
+
 @lru_cache(maxsize=None)
 def _k_profile(
     X: XModel, spec: Specialization | None, profile: tuple[int, ...], a: int, order: int
 ) -> TruncSeries:
+    """K_(<a)nu(t), nu of profile ``profile``: the members of A_<a(nu) with nu's own
+    profile form the denominator; each other member has a strictly finer profile
+    and subtracts K of it, shifted up by its excess."""
     Z = zeta_series(X, order, spec)
     base = Z * Z.compose_power(a).inverse()
     if not profile:
         return base
-    nu = _formalization_with_profile(profile)
-    members = pt.add_lt_a(nu, a)
-    numerator = base.scale(w_of(X, profile, spec))
     den = [0] * (order + 1)
-    smaller: dict[tuple[tuple[int, ...], int], int] = {}
-    for member, same in members:
-        excess = pt.stats(member).total.coeff(pt.UNIT)
-        if same:
-            if excess <= order:
-                den[excess] += 1
+    smaller = []  # (count, excess, K of the finer profile)
+    for (split, excess), n in _member_counts(profile, a).items():
+        if excess > order:
+            continue
+        if split == profile:
+            den[excess] += n
         else:
-            prof2 = pt.multiplicity_profile(member)
-            if not pt.leq_profiles(prof2, profile):
-                raise InternalCheckError(
-                    f"profiles {prof2} and {profile} are incomparable in the merge order"
-                )
-            key = (prof2, excess)
-            smaller[key] = smaller.get(key, 0) + 1
+            smaller.append((n, excess, _k_profile(X, spec, split, a, order)))
     if den[0] != 1:
         raise InternalCheckError("denominator of the K-recursion lost its constant term 1")
-    for (prof2, excess), count in smaller.items():
-        term = _k_profile(X, spec, prof2, a, order).shift_up(excess).scale(count)
-        numerator = numerator - term
-    return numerator * TruncSeries.from_coeffs(den).inverse()
+    w = w_of(X, profile, spec)
+    numerator = (_combination([(1, w * c)] + [(-n, K[i - e]) for n, e, K in smaller if e <= i])
+                 for i, c in enumerate(base.coeffs))
+    return TruncSeries.from_coeffs(numerator) * TruncSeries.from_coeffs(den).inverse()
 
 
 def kbar_nu(X: XModel, nu, N: int, spec: Specialization | None = None) -> TruncSeries:
@@ -485,6 +490,7 @@ def _ring(X: XModel, spec: Specialization | None) -> _Ring:
 # densities of singular divisors
 
 
+@strict
 class HypersurfaceDensity(NamedTuple):
     """A limiting density of divisors in a very positive linear system."""
 
@@ -570,6 +576,7 @@ def _check_cutoff(cutoff: int) -> None:
 # stable limits of configuration series
 
 
+@strict
 class LimitReport(NamedTuple):
     """A stable-limit value with its cutoff, tail indicator and provenance."""
 

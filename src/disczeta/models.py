@@ -22,6 +22,7 @@ from typing import NamedTuple
 
 from .errors import InputError, InternalCheckError, ModelDataError
 from .motive import LaurentL, MotivicClass, SparsePoly, TruncSeries
+from .records import strict
 
 MOTIVIC = "motivic-L"
 COUNT = "count"
@@ -113,6 +114,7 @@ class _SpecFields(NamedTuple):
     q: int | None = None
 
 
+@strict
 class Specialization(_SpecFields):
     """A motivic measure target: where classes get sent."""
 
@@ -158,6 +160,7 @@ def generalized_binomial(a: int, k: int) -> int:
     return num // den
 
 
+@strict
 class XModel(NamedTuple):
     """A variety description rich enough to specialize the classes we build."""
 

@@ -605,12 +605,18 @@ def power_density_prediction(a: int, b: int, r: int, prime_bound: int = 10**5, g
 def exp_formula_sym_counts(N_r, n_max: int) -> list[int]:
     """#Sym^n X(F_q) for n <= n_max from exp(sum_r N_r t^r / r).
 
-    The inputs must produce nonnegative integers; anything else means the
-    point-count data is inconsistent.
+    The inputs must produce nonnegative integers and, for d <= n_max, nonnegative
+    sum_{e | d} mu(d/e) N_e (d times the closed points of degree d); anything else
+    means the point-count data is inconsistent.
     """
     counts = list(N_r)
     if len(counts) < n_max:
         raise ModelDataError(f"need N_r for r <= {n_max}, got {len(counts)}")
+    exact = [0]  # exact[d]: N_d less exact[e] for each proper divisor e of d
+    for d in range(1, n_max + 1):
+        exact.append(counts[d - 1] - sum(exact[e] for e in range(1, d) if d % e == 0))
+        if exact[d] < 0:
+            raise ModelDataError(f"invalid point-count data: the closed points of degree {d} are negative")
     syms = [Fraction(1)]
     for k in range(1, n_max + 1):
         acc = Fraction(0)

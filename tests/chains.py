@@ -1,8 +1,8 @@
 """<<-chains of generalized partitions, the test suite's reference route to [w_lambda],
-with formalization, a breadth-first merge closure and the profile sum for
-zinv_lambda as references; and the regex-chain parsers of ``--X`` and
-``--spec`` that try every pattern in turn, as references for the parsers that
-dispatch on the prefix."""
+with formalization, a breadth-first merge closure, S(nu, a) by the merge
+closure and the profile sum for zinv_lambda as references; and the regex-chain
+parsers of ``--X`` and ``--spec`` that try every pattern in turn, as references
+for the parsers that dispatch on the prefix."""
 
 import math
 import re
@@ -30,6 +30,25 @@ def formalize(lam: GenPartition) -> GenPartition:
         prefix += "a"
     rename = {p: Part.gen(f"{prefix}{i}") for i, p in enumerate(distinct, start=1)}
     return GenPartition.of(rename[p] for p in lam.parts)
+
+
+def formalization_with_profile(profile: tuple[int, ...]) -> GenPartition:
+    """The formalization a1^m1 a2^m2 ... whose multiplicity profile is ``profile``."""
+    parts = []
+    for i, m in enumerate(profile, start=1):
+        parts.extend([Part.gen(f"a{i}")] * m)
+    return GenPartition.of(parts)
+
+
+def s_set_by_closure(nu: tuple[int, ...], a: int, j: int | None = None) -> frozenset[tuple[int, ...]]:
+    """S(nu, a) by its definition: the parts >= a of each member of the merge
+    closure of 1^j nu that is not in the closure of 1^(j-a) a nu (none is
+    dropped when j < a).  j defaults to |nu|(a-1)."""
+    if j is None:
+        j = len(nu) * (a - 1)
+    dropped = merge_closure(GenPartition.integers((1,) * (j - a) + (a,) + nu)) if j >= a else frozenset()
+    kept = merge_closure(GenPartition.integers((1,) * j + nu)) - dropped
+    return frozenset(tuple(v for v in lam.as_integers() if v >= a) for lam in kept)
 
 
 def merge_closure_bfs(lam: GenPartition) -> frozenset[GenPartition]:

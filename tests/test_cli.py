@@ -136,6 +136,13 @@ def test_counts_with_negative_closed_points_exit_2(capsys):
     assert cli.main(["series", "zeta", "--X", "counts:q=2,N=[5,1]", "--trunc", "1"]) == 0
 
 
+def test_oracle_expformula_rejects_negative_closed_points(capsys, monkeypatch):
+    monkeypatch.delenv("DISCZETA_CACHE", raising=False)
+    assert cli.main(["oracle", "--op", "expformula", "--counts", "5,1", "--n", "2"]) == 2
+    assert "the closed points of degree 2 are negative" in capsys.readouterr().err
+    assert cli.main(["oracle", "--op", "expformula", "--counts", "5,1", "--n", "1"]) == 0
+
+
 INTDENSITY = ["oracle", "--op", "intdensity", "--a", "2", "--b", "2", "--r", "0", "--bound", "1000"]
 NOTE = "zeta arguments taken positive; the source display writes zeta(-a), zeta(-b)"
 

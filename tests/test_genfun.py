@@ -14,7 +14,7 @@ from disczeta.models import COUNT, HODGE, MOTIVIC, Specialization, XModel
 from disczeta.motive import GRADING_MULT, LaurentL, MotivicClass, TruncSeries, dim_grade
 from disczeta.partitions import GenPartition
 
-from chains import ll_chains, zinv_by_profiles
+from chains import formalization_with_profile, ll_chains, zinv_by_profiles
 
 S = MotivicClass.sym
 A1 = XModel.affine_space(1)
@@ -135,7 +135,7 @@ class TestWClasses:
 
     def test_every_small_profile_matches_chain_formula(self):
         for profile in profiles_up_to(5):
-            lam = G._formalization_with_profile(profile)
+            lam = formalization_with_profile(profile)
             assert G._w_profile(profile) == w_class_from_chains(lam), profile
 
     def test_peeling_the_smallest_matches_peeling_the_largest(self):
@@ -242,6 +242,16 @@ class TestKSeries:
             expect = expect.scale(G.w_of(SYM, (1,) * len(nu)))
             assert k == expect
 
+    @pytest.mark.parametrize("a", [2, 3, 4])
+    def test_member_counts_match_the_members(self, a):
+        # (profile, excess) counts of A_<a(nu) against the members themselves
+        for profile in profiles_up_to(5):
+            members = pt.add_lt_a(formalization_with_profile(profile), a)
+            expect = Counter(
+                (pt.multiplicity_profile(m), sum(p.coeff(pt.UNIT) for p in m)) for m, _ in members
+            )
+            assert G._member_counts(profile, a) == expect, profile
+
     def test_repeated_nu_profile(self):
         # nu = [2,2] exercises the recursion into a strictly smaller profile
         k = G.k_lt_a_nu(Q2, (2, 2), 2, 5)
@@ -347,7 +357,7 @@ class TestZinv:
 
     @pytest.mark.parametrize("profile", [(), (1,), (2,), (1, 1), (2, 1), (3,)], ids=str)
     def test_profiles_match_q_sum(self, profile):
-        lam = G._formalization_with_profile(profile)
+        lam = formalization_with_profile(profile)
         assert G.zinv_series(SYM, lam, 9) == zinv_by_profiles(SYM, lam, 9) == G.zinv_lambda(SYM, lam, 9)
 
     def test_q_sum_guard(self):
@@ -555,7 +565,7 @@ class TestSecondRoutes:
     @pytest.mark.parametrize("X", [A1, P1, XModel.proj_space(2)], ids=XModel.label)
     def test_zinv_profiles_match_q_sum(self, X, spec):
         for profile in [(), (1,)]:
-            lam = G._formalization_with_profile(profile)
+            lam = formalization_with_profile(profile)
             assert G.zinv_series(X, lam, 7, spec) == zinv_by_profiles(X, lam, 7, spec) == G.zinv_lambda(X, lam, 7, spec)
 
     @pytest.mark.parametrize(
@@ -566,12 +576,12 @@ class TestSecondRoutes:
     def test_zinv_colored_bridge(self, X, spec):
         # zinv_lambda(t) = Z^[m](t) Z(t)^-1 for every multiplicity profile m of lambda
         for profile in ZINV_PROFILES:
-            lam = G._formalization_with_profile(profile)
+            lam = formalization_with_profile(profile)
             assert G.zinv_series(X, lam, 7, spec) == G.zinv_lambda(X, lam, 7, spec), profile
 
     @pytest.mark.parametrize("profile", ZINV_PROFILES, ids=str)
     def test_zinv_colored_bridge_by_profiles(self, profile):
-        lam = G._formalization_with_profile(profile)
+        lam = formalization_with_profile(profile)
         assert G.zinv_series(SYM, lam, 14) == zinv_by_profiles(SYM, lam, 14)
 
     @pytest.mark.parametrize("spec", EVALUABLE_SPECS, ids=str)

@@ -52,6 +52,11 @@ FRONTIER = {
     "zetainv_P2_hodge_trunc14.json": "series zetainv --X P2 --spec hodge-deligne --trunc 14 --json",
     "zetainv_lambda112_trunc14.json": "series zetainv --lambda 1,1,2 --trunc 14 --json",
     "zetainv_P2_count_q3_lambda12_trunc12.json": "series zetainv --X P2 --spec count:q=3 --lambda 1,2 --trunc 12 --json",
+    "k_nu3x7_a3_trunc14.json": "series k --nu 3^7 --a 3 --trunc 14 --json",
+    "kbar_nu3x5_4_trunc12.json": "series kbar --nu 3^5,4 --trunc 12 --json",
+    "k_nu223_P1_count_q3_trunc12.json": "series k --nu 2,2,3 --X P1 --spec count:q=3 --trunc 12 --json",
+    "k_nu2x3_P2_hodge_trunc10.json": "series k --nu 2^3 --X P2 --spec hodge-deligne --trunc 10 --json",
+    "limit_kbar_nu223_P2_hodge_cutoff8.json": "limit --of kbar --nu 2,2,3 --X P2 --spec hodge-deligne --cutoff 8 --json",
 }
 
 

@@ -452,6 +452,12 @@ class TestExpFormula:
         with pytest.raises(ModelDataError):
             O.exp_formula_sym_counts([2, 1], 2)  # Sym^2 = (2*2 + 1)/2 = 5/2
 
+    def test_rejects_negative_closed_points(self):
+        # N_2 - N_1 = -4: integer Sym counts [1, 5, 13], yet no variety has these counts
+        with pytest.raises(ModelDataError, match="closed points of degree 2 are negative"):
+            O.exp_formula_sym_counts([5, 1], 2)
+        assert O.exp_formula_sym_counts([5, 1], 1) == [1, 5]
+
     def test_multiplicative_over_disjoint_union(self):
         # counts of a disjoint union multiply the zeta series
         a = [2**r for r in range(1, 7)]

@@ -8,11 +8,23 @@ from disczeta import partitions as P
 from disczeta.errors import InputError
 from disczeta.partitions import GenPartition, Part
 
-from chains import formalize, ll_chains, merge_closure_bfs
+from chains import formalize, ll_chains, merge_closure_bfs, s_set_by_closure
 
 
 def gp(*values):
     return GenPartition.integers(values)
+
+
+def splits_into(values, targets) -> bool:
+    """Can the integers ``values`` be split into len(targets) blocks summing to ``targets``?"""
+    if not values:
+        return not any(targets)
+    head, rest = values[0], values[1:]
+    return any(
+        splits_into(rest, targets[:i] + (t - head,) + targets[i + 1 :])
+        for i, t in enumerate(targets)
+        if t >= head and t not in targets[:i]
+    )
 
 
 def gens(*names):
@@ -31,24 +43,6 @@ class TestBasics:
         # 1^3 2^3 3 4^2 5 has m = [3,3,1,2,1], sorted to (3,3,2,1,1)
         lam = gp(1, 1, 1, 2, 2, 2, 3, 4, 4, 5)
         assert P.multiplicity_profile(lam) == (3, 3, 2, 1, 1)
-
-    def test_stats_big(self):
-        lam = gp(1, 1, 1, 2, 2, 2, 3, 4, 4, 5)
-        s = P.stats(lam)
-        assert s.size == 10
-        assert s.distinct == 5
-        assert s.total == Part.integer(25)
-
-    def test_stats_empty(self):
-        s = P.stats(GenPartition.empty())
-        assert s == (0, 0, P.ZERO_PART)
-
-    def test_stats_formal(self):
-        lam = GenPartition.of([Part.gen("x"), Part.gen("x"), Part.gen("x", 2)])
-        s = P.stats(lam)
-        assert s.size == 3
-        assert s.distinct == 2
-        assert s.total == Part.gen("x", 4)
 
 
 class TestFormalize:
@@ -125,24 +119,25 @@ class TestMergeOrder:
             assert P.merge_closure(lam) == merge_closure_bfs(lam), lam
 
     def test_leq_paper_chain(self):
-        assert P.leq(gp(1, 2, 3), gp(3, 3))
-        assert P.leq(gp(3, 3), gp(6))
-        assert P.leq(gp(1, 2, 3), gp(6))
+        assert gp(3, 3) in P.merge_closure(gp(1, 2, 3))
+        assert gp(6) in P.merge_closure(gp(3, 3))
+        assert gp(6) in P.merge_closure(gp(1, 2, 3))
 
     def test_leq_reflexive(self):
         lam = gp(1, 1, 4)
-        assert P.leq(lam, lam)
+        assert lam in P.merge_closure(lam)
 
     def test_leq_sum_mismatch(self):
-        assert not P.leq(gp(1, 1, 1), gp(2, 2))
+        assert gp(2, 2) not in P.merge_closure(gp(1, 1, 1))
 
     def test_leq_not_backwards(self):
-        assert not P.leq(gp(3, 3), gp(1, 2, 3))
+        assert gp(1, 2, 3) not in P.merge_closure(gp(3, 3))
 
     @given(st.lists(st.integers(min_value=1, max_value=4), min_size=0, max_size=6))
     @settings(max_examples=60, deadline=None)
     def test_closure_agrees_with_leq(self, values):
-        # two independent decision procedures for the refinement order
+        # membership against a second procedure: mu is in the closure exactly when
+        # lam's parts split into |mu| blocks whose sums are mu's parts
         lam = gp(*values)
         closure = P.merge_closure(lam)
         total = sum(values)
@@ -150,8 +145,7 @@ class TestMergeOrder:
             for mu_vals in P.enumerate_k_parts(k, total):
                 if sum(mu_vals) != total and values:
                     continue
-                mu = gp(*mu_vals)
-                assert (mu in closure) == P.leq(lam, mu)
+                assert (gp(*mu_vals) in closure) == splits_into(values, mu_vals)
 
 
 class TestAddLtA:
@@ -210,7 +204,7 @@ class TestSSet:
         # closure of 1^2*[3] minus nothing (j0 - a = -1), big parts dedup
         got = P.s_set((3,), 3)
         closure = P.merge_closure(gp(1, 1, 3))
-        expect = frozenset(P.big_parts(lam, 3) for lam in closure)
+        expect = frozenset(tuple(v for v in lam.as_integers() if v >= 3) for lam in closure)
         assert got == expect
 
     def test_rejects_small_parts(self):
@@ -222,9 +216,20 @@ class TestSSet:
         [((), 2), ((2,), 2), ((3,), 2), ((2, 2), 2), ((3,), 3), ((4,), 2), ((2, 4), 2), ((3, 3), 3)],
     )
     def test_stabilization(self, nu, a):
-        # enumeration at any j >= |nu|(a-1) yields the same set
+        # the closure route at any j >= |nu|(a-1) yields the same set
         j0 = len(nu) * (a - 1)
-        assert P.s_set(nu, a) == P.s_set(nu, a, j=j0 + a)
+        assert P.s_set(nu, a) == s_set_by_closure(nu, a, j=j0 + a)
+
+    @pytest.mark.parametrize(
+        "a,values,sizes",
+        [(2, range(2, 6), range(4)), (3, range(3, 7), range(4)), (4, range(4, 8), range(3)), (2, range(2, 6), (4,))],
+        ids=["a2", "a3", "a4", "a2-4parts"],
+    )
+    def test_block_sums_match_the_closure_route(self, a, values, sizes):
+        # 120 (nu, a): parts from a..a+3, up to 3 of them (2 for a = 4), and 4 parts for a = 2
+        for k in sizes:
+            for nu in itertools.combinations_with_replacement(values, k):
+                assert P.s_set(nu, a) == s_set_by_closure(nu, a), nu
 
 
 class TestEnumerations:
@@ -284,7 +289,7 @@ class TestChains:
         for chain in ll_chains(lam):
             for prev, nxt in zip(chain, chain[1:]):
                 assert len(nxt) < len(prev)
-                assert P.leq(formalize(prev), nxt)
+                assert nxt in P.merge_closure(formalize(prev))
 
 
 class TestInvariants:
@@ -292,9 +297,8 @@ class TestInvariants:
     def test_profile_vs_stats(self, values):
         lam = gp(*values)
         prof = P.multiplicity_profile(lam)
-        s = P.stats(lam)
-        assert s.size == sum(prof)
-        assert s.distinct == len(prof)
+        assert sum(prof) == len(lam)
+        assert len(prof) == len(set(lam.parts))
 
     @given(
         st.lists(st.integers(min_value=1, max_value=4), min_size=0, max_size=5),
@@ -304,7 +308,7 @@ class TestInvariants:
     def test_leq_implies_stats(self, values, extra):
         lam = gp(*values)
         for mu in P.merge_closure(lam):
-            assert P.stats(lam).total == P.stats(mu).total
+            assert sum(mu.as_integers()) == sum(values)
             assert len(lam) >= len(mu)
 
 

@@ -70,6 +70,19 @@ def test_slots_records_equal_only_their_own_class():
     assert series != ((1, 2), series.grading)
     assert series != TruncSeries((1, 2), GRADING_POINTS)
     assert series == TruncSeries.from_coeffs([1, 2])
+    # the NamedTuple records: equal only to their own class, and no tuple arithmetic or ordering
+    for record, fields in RECORDS:
+        if not isinstance(record, tuple):
+            continue
+        values = tuple(getattr(record, name) for name in fields)
+        assert record != values and values != record and not record == values
+        assert record == type(record)(*values) and not record != type(record)(*values)
+        for op in (lambda r: r * 2, lambda r: 2 * r, lambda r: r + (), lambda r: () + r,
+                   lambda r: r < values, lambda r: values < r, lambda r: r >= r):
+            with pytest.raises(TypeError):
+                op(record)
+    assert Specialization(COUNT, 3) != (COUNT, 3)
+    assert Part.integer(1) + Part.integer(1) == Part.integer(2)
 
 
 def test_w_class_of_a_partition_goes_through_its_profile(monkeypatch):
