@@ -96,20 +96,21 @@ def _nu(args, params: dict) -> tuple[int, ...]:
     return nu
 
 
-def _config_series(args, kind: str, X, spec, order: int, params: dict) -> tuple:
-    """The ``k``, ``kbar`` or ``symsing`` series to ``order``, echoing its flags into
-    params, and the zeta expression that ``limit`` reports for its stable limit."""
+def _config_series(args, kind: str, params: dict) -> tuple:
+    """The ``k``, ``kbar`` or ``symsing`` routes, echoing their flags into params:
+    the series Y, its E = Y/Z_X, the arguments both take between X and the order,
+    and the zeta expression that ``limit`` reports for E(M^-1)."""
     if kind == "k":
         nu = _nu(args, params)
         params["a"] = args.a
-        return G.k_lt_a_nu(X, nu, args.a, order, spec), f"E(M^-1) with E = K_(<{args.a}){nu}/Z_X"
+        return G.k_lt_a_nu, G.k_over_zeta, (nu, args.a), f"E(M^-1) with E = K_(<{args.a}){nu}/Z_X"
     if kind == "kbar":
         if not args.nu:
             raise InputError("kbar needs --nu with all parts >= 2")
         nu = _nu(args, params)
-        return G.kbar_nu(X, nu, order, spec), f"E(M^-1) with E = Kbar_(1*{nu})/Z_X"
+        return G.kbar_nu, G.kbar_over_zeta, (nu,), f"E(M^-1) with E = Kbar_(1*{nu})/Z_X"
     params["s"] = args.s
-    return G.sym_s_series(X, args.s or 0, order, spec), f"zeta^[{args.s or 0}]_X(2d)/zeta_X(2d)"
+    return G.sym_s_series, G.sym_s_over_zeta, (args.s or 0,), f"zeta^[{args.s or 0}]_X(2d)/zeta_X(2d)"
 
 
 def cmd_series(args) -> int:
@@ -127,7 +128,8 @@ def cmd_series(args) -> int:
     else:
         if args.kind == "symsing" and args.s is None:
             raise InputError("symsing needs --s")
-        series, _ = _config_series(args, args.kind, X, spec, n, params)
+        route, _, head, _ = _config_series(args, args.kind, params)
+        series = route(X, *head, n, spec)
     result = series.to_json()
     _emit(args, "series", params, result, _series_rows(result["coeffs"]))
     return 0
@@ -139,8 +141,9 @@ def cmd_limit(args) -> int:
     if args.of == "distinctnu":
         report = G.distinct_nu_limit(X, _nu(args, params), cutoff, spec)
     else:
-        series, expr = _config_series(args, args.of, X, spec, G.default_limit_order(cutoff), params)
-        report = G.stable_limit(series, X, args.normalization, cutoff, spec, expr)
+        _, over_zeta, head, expr = _config_series(args, args.of, params)
+        E = over_zeta(X, *head, G.default_limit_order(cutoff), spec)
+        report = G.stable_limit(E, X, args.normalization, cutoff, spec, expr)
     result = {
         "value": _json_value(report.value),
         "codim_cutoff": report.codim_cutoff,

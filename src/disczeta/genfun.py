@@ -16,6 +16,11 @@ The series built here (all truncated in t):
   the second route that checks ``zinv_series``.
 * densities and stable limits expressed through motivic zeta values.
 
+A stable class is lim_j Y_j/[Sym^j X] = E(M^-1) with E = Y/Z_X, so the K, Kbar
+and Sym_s recursions run on E (``k_over_zeta``, ``kbar_over_zeta``,
+``sym_s_over_zeta``) and ``stable_limit`` takes E; only the ``series`` verb
+multiplies by Z_X, through ``k_lt_a_nu``, ``kbar_nu`` and ``sym_s_series``.
+
 Two t-gradings coexist and must not be mixed silently: configuration series
 grade t by total multiplicity, the hypersurface series by number of points.
 They meet in one identity, zinv_lambda(t) = Z^[m](t) * Z(t)^-1 read
@@ -187,10 +192,13 @@ def _profile_of_ints(lam: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(Counter(lam).values(), reverse=True))
 
 
-def k_lt_a_nu(
-    X: XModel, nu, a: int, N: int, spec: Specialization | None = None
-) -> TruncSeries:
-    """K_(<a)nu(t): multiplicity-< a configurations decorating the pattern nu.
+def k_lt_a_nu(X: XModel, nu, a: int, N: int, spec: Specialization | None = None) -> TruncSeries:
+    """K_(<a)nu(t): multiplicity-< a configurations decorating the pattern nu."""
+    return zeta_series(X, N, spec) * k_over_zeta(X, nu, a, N, spec)
+
+
+def k_over_zeta(X: XModel, nu, a: int, N: int, spec: Specialization | None = None) -> TruncSeries:
+    """K_(<a)nu(t) / Z_X(t).
 
     nu must have all parts at least a (the recursion formalizes nu, which is
     only sound when its parts cannot collide with the small parts).
@@ -220,18 +228,19 @@ def _member_counts(profile: tuple[int, ...], a: int) -> Counter:
 
 
 @lru_cache(maxsize=None)
-def _k_profile(
-    X: XModel, spec: Specialization | None, profile: tuple[int, ...], a: int, order: int
-) -> TruncSeries:
-    """K_(<a)nu(t), nu of profile ``profile``: the members of A_<a(nu) with nu's own
-    profile form the denominator; each other member has a strictly finer profile
-    and subtracts K of it, shifted up by its excess."""
-    Z = zeta_series(X, order, spec)
-    base = Z * Z.compose_power(a).inverse()
+def _k_profile(X: XModel, spec: Specialization | None, profile: tuple[int, ...], a: int, order: int) -> TruncSeries:
+    """E = K_(<a)nu(t) / Z_X(t), nu of profile ``profile``: the cache holds K/Z, and
+    only ``k_lt_a_nu`` (the ``series`` verb) multiplies by Z_X.
+
+    The base, the empty profile, is Z(t^a)^-1, taken as (Z^-1)(t^a) from the
+    inverse at order // a.  The members of A_<a(nu) with nu's own profile form
+    the denominator; each other member has a strictly finer profile and
+    subtracts K/Z of it, shifted up by its excess."""
     if not profile:
-        return base
+        return zeta_series(X, order // a, spec).inverse().compose_power(a, order)
+    base = _k_profile(X, spec, (), a, order)
     den = [0] * (order + 1)
-    smaller = []  # (count, excess, K of the finer profile)
+    smaller = []  # (count, excess, K/Z of the finer profile)
     for (split, excess), n in _member_counts(profile, a).items():
         if excess > order:
             continue
@@ -248,12 +257,18 @@ def _k_profile(
 
 
 def kbar_nu(X: XModel, nu, N: int, spec: Specialization | None = None) -> TruncSeries:
-    """Kbar_{1*nu}(t) = sum_j [wbar_{1^j nu}] t^j for nu with all parts >= 2.
+    """Kbar_{1*nu}(t) = sum_j [wbar_{1^j nu}] t^j for nu with all parts >= 2."""
+    return zeta_series(X, N, spec) * kbar_over_zeta(X, nu, N, spec)
+
+
+def kbar_over_zeta(X: XModel, nu, N: int, spec: Specialization | None = None) -> TruncSeries:
+    """Kbar_{1*nu}(t) / Z_X(t), from Kbar_{1*()} / Z = 1.
 
     Peels the smallest part a of nu:
     Kbar_{1*(a nu')} = (Kbar_{1*nu'} - sum_{mu in S(nu',a)} K_(<a)mu
-    t^(sum mu - sum nu')) / t^a, asserting that every negative power of t
-    cancels.
+    t^(sum mu - sum nu')) / t^a, read divided by Z, asserting that every
+    negative power of t cancels.  The mu are grouped by (excess, profile),
+    and each coefficient is one combination.
     """
     nu = int_partition(nu)
     if any(p < 2 for p in nu):
@@ -261,19 +276,16 @@ def kbar_nu(X: XModel, nu, N: int, spec: Specialization | None = None) -> TruncS
     return _kbar_rec(X, spec, nu, N)
 
 
-def _kbar_rec(
-    X: XModel, spec: Specialization | None, nu: tuple[int, ...], order: int
-) -> TruncSeries:
+def _kbar_rec(X: XModel, spec: Specialization | None, nu: tuple[int, ...], order: int) -> TruncSeries:
     if not nu:
-        return zeta_series(X, order, spec)
+        return TruncSeries.one(order)
     a, rest = nu[0], nu[1:]
     acc = _kbar_rec(X, spec, rest, order + a)
-    total_rest = sum(rest)
-    for mu in sorted(pt.s_set(rest, a)):
-        excess = sum(mu) - total_rest
-        K = _k_profile(X, spec, _profile_of_ints(mu), a, order + a)
-        acc = acc - K.shift_up(excess)
-    return acc.shift_down(a)
+    groups = Counter((sum(mu) - sum(rest), _profile_of_ints(mu)) for mu in pt.s_set(rest, a))
+    smaller = [(n, e, _k_profile(X, spec, p, a, order + a)) for (e, p), n in groups.items()]
+    coeffs = (_combination([(1, c)] + [(-n, K[i - e]) for n, e, K in smaller if e <= i])
+              for i, c in enumerate(acc.coeffs))
+    return TruncSeries.from_coeffs(coeffs).shift_down(a)
 
 
 def kbar_abr_closed(
@@ -300,11 +312,19 @@ def kbar_abr_closed(
 
 def sym_s_series(X: XModel, s: int, N: int, spec: Specialization | None = None) -> TruncSeries:
     """sum_j [Sym^j_s X] t^j = Z^[s](t^2) Z(t) / Z(t^2): exactly s multiple points."""
+    return zeta_series(X, N, spec) * sym_s_over_zeta(X, s, N, spec)
+
+
+def sym_s_over_zeta(X: XModel, s: int, N: int, spec: Specialization | None = None) -> TruncSeries:
+    """``sym_s_series`` / Z_X(t) = (Z^[s] Z^-1)(t^2), the product taken at order N // 2."""
     if s < 0:
         raise InputError("s must be >= 0")
-    zs = zeta_s_series(X, s, N, spec)
-    Z = zeta_series(X, N, spec)
-    return zs.compose_power(2) * Z * Z.compose_power(2).inverse()
+    return colored_over_zeta(X, (s,), N // 2, spec).compose_power(2, N)
+
+
+def colored_over_zeta(X: XModel, m: tuple[int, ...], N: int, spec: Specialization | None = None) -> TruncSeries:
+    """Z^[m]_X(t) * Z_X(t)^-1 to order N."""
+    return zeta_colored_series(X, m, N, spec) * zeta_series(X, N, spec).inverse()
 
 
 def zinv_lambda(
@@ -344,8 +364,7 @@ def zinv_series(
     profiles = pt.profile_count(N_pts - len(lam), guard)
     if profiles > guard:
         raise GuardExceeded(f"zetainv to t^{N_pts} needs at least {profiles} multiplicity profiles, guard is {guard}")
-    colored = zeta_colored_series(X, pt.multiplicity_profile(lam), N_pts, spec)
-    return (colored * zeta_series(X, N_pts, spec).inverse()).regraded(GRADING_POINTS)
+    return colored_over_zeta(X, pt.multiplicity_profile(lam), N_pts, spec).regraded(GRADING_POINTS)
 
 
 def _combination(pairs: list):
@@ -514,9 +533,7 @@ def hyper_density(
     """
     _check_hyper_args(X, d, cutoff, s)
     # term k has dimension <= -k, so order cutoff+1 already covers the cutoff
-    order = cutoff + 1
-    Z = zeta_series(X, order, spec)
-    E = zeta_s_series(X, s, order, spec) * Z.inverse()
+    E = colored_over_zeta(X, (s,), cutoff + 1, spec)
     value, tail = _ring(X, spec).evaluate(E, d + 1, cutoff)
     expr = f"zeta^[{s}]_X({d + 1})/zeta_X({d + 1})" if s else f"1/zeta_X({d + 1})"
     return HypersurfaceDensity(d, s, value, expr, cutoff, tail)
@@ -592,26 +609,23 @@ def default_limit_order(cutoff: int) -> int:
 
 
 def stable_limit(
-    Y: TruncSeries,
+    E: TruncSeries,
     X: XModel,
     normalization: str = "Sym",
     cutoff: int = 10,
     spec: Specialization | None = None,
     expression: str = "E(M^-1) with E = Y/Z_X",
 ) -> LimitReport:
-    """lim_j Y_j / [Sym^j X] (or / M^j): write Y = E * Z_X and evaluate E(M^-1).
-
-    The Sym normalization is E(M^-1) itself; the M-power normalization
-    multiplies by the stable symmetric-power class of X, which is only
-    available for the rational models built in.
+    """lim_j Y_j / [Sym^j X] (or / M^j) = E(M^-1), given E = Y/Z_X itself; only
+    the ``series`` verb multiplies E by Z_X.  The Sym normalization is E(M^-1);
+    the M-power normalization multiplies by the stable symmetric-power class
+    of X, which is only available for the rational models built in.
     """
     _check_cutoff(cutoff)
     if normalization not in ("Sym", "M"):
         raise InputError("normalization must be 'Sym' or 'M'")
-    if Y.grading != GRADING_MULT:
+    if E.grading != GRADING_MULT:
         raise InputError("stable limits apply to multiplicity-graded series")
-    Z = zeta_series(X, Y.order, spec)
-    E = Y * Z.inverse()
     ring = _ring(X, spec)
     value, tail = ring.evaluate_at_M(E, cutoff)
     if normalization == "M":
@@ -631,9 +645,7 @@ def _stable_sym_class(X: XModel, spec: Specialization | None, ring: _Ring, cutof
     return ring.truncate(out, cutoff)
 
 
-def distinct_nu_limit(
-    X: XModel, nu, cutoff: int, spec: Specialization | None = None
-) -> LimitReport:
+def distinct_nu_limit(X: XModel, nu, cutoff: int, spec: Specialization | None = None) -> LimitReport:
     """lim_j [w_{1^j nu}]/[Sym^(j+sum nu) X] for nu with distinct parts all > 1:
 
     (w_nu / zeta_X(2d)) * L^(-d sum nu) / (1 + L^-d)^|nu|.
@@ -652,13 +664,10 @@ def distinct_nu_limit(
     shift = d * sum(nu)
     inner_cutoff = cutoff + shift
     order = default_limit_order(inner_cutoff)
-    Z = zeta_series(X, order, spec)
-    one_plus_t = TruncSeries.from_coeffs([1, 1] + [0] * (order - 1))
-    denom = TruncSeries.one(order)
-    for _ in range(len(nu)):
-        denom = denom * one_plus_t
-    E = Z.compose_power(2).inverse() * denom.inverse()
-    E = E.scale(w_of(X, (1,) * len(nu), spec))
+    k = len(nu)
+    # (1+t)^-k has coefficients (-1)^n C(n+k-1, n): 1, 0, 0, ... when k = 0
+    binomials = TruncSeries.from_coeffs([1] + [(-1) ** n * math.comb(n + k - 1, n) for n in range(1, order + 1)])
+    E = (k_over_zeta(X, (), 2, order, spec) * binomials).scale(w_of(X, (1,) * k, spec))  # Z(t^2)^-1 = K_(<2)/Z
     ring = _ring(X, spec)
     value, tail = ring.evaluate_at_M(E, inner_cutoff)
     value = ring.truncate(value * ring.L(-shift), cutoff)

@@ -500,15 +500,15 @@ class TruncSeries:
             out[n] = -(inv0 * acc) if inv0 != 1 else -acc
         return TruncSeries(tuple(out), self.grading)
 
-    def compose_power(self, a: int) -> "TruncSeries":
-        """f(t^a) modulo t^(order+1)."""
+    def compose_power(self, a: int, order: int | None = None) -> "TruncSeries":
+        """f(t^a) modulo t^(order+1); ``order`` defaults to f's and may reach a * f.order + a - 1."""
         if a < 1:
             raise InputError(f"compose_power needs a >= 1, got {a}")
-        out = [0] * (self.order + 1)
-        for n, c in enumerate(self.coeffs):
-            if n * a > self.order:
-                break
-            out[n * a] = c
+        order = self.order if order is None else order
+        if order // a > self.order:
+            raise InputError("cannot extend a truncated series")
+        out = [0] * (order + 1)
+        out[::a] = self.coeffs[: order // a + 1]
         return TruncSeries(tuple(out), self.grading)
 
     def shift_up(self, k: int) -> "TruncSeries":

@@ -74,9 +74,6 @@ class Part(NamedTuple):
                 return c
         return 0
 
-    def generators(self) -> set[str]:
-        return {g for g, _ in self.coeffs}
-
     def as_integer(self) -> int | None:
         """The value n if this part is n*UNIT, else None."""
         if len(self.coeffs) == 1 and self.coeffs[0][0] == UNIT:
@@ -96,9 +93,6 @@ class Part(NamedTuple):
         if u:
             terms.append(str(u))
         return "+".join(terms)
-
-
-ZERO_PART = Part(())
 
 
 class GenPartition:
@@ -158,12 +152,6 @@ class GenPartition:
                 return None
             vals.append(n)
         return tuple(sorted(vals))
-
-    def generators(self) -> set[str]:
-        out: set[str] = set()
-        for p in self.parts:
-            out |= p.generators()
-        return out
 
     def __str__(self) -> str:
         if not self.parts:

@@ -217,7 +217,7 @@ def check_limit_cross_validation() -> dict:
     A1 = XModel.affine_space(1)
     rep = G.distinct_nu_limit(A1, (2,), cutoff)
     order = G.default_limit_order(cutoff + 2)
-    sl = G.stable_limit(G.k_lt_a_nu(A1, (2,), 2, order), A1, "Sym", cutoff + 2)
+    sl = G.stable_limit(G.k_over_zeta(A1, (2,), 2, order), A1, "Sym", cutoff + 2)
     shifted = sl.value * MotivicClass.lefschetz(-2)
     trimmed, _ = shifted.truncated(dim_grade(1), -cutoff)
     ok = trimmed == rep.value

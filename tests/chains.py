@@ -1,11 +1,13 @@
 """<<-chains of generalized partitions, the test suite's reference route to [w_lambda],
 with formalization, a breadth-first merge closure, S(nu, a) by the merge
-closure and the profile sum for zinv_lambda as references; and the regex-chain
-parsers of ``--X`` and ``--spec`` that try every pattern in turn, as references
-for the parsers that dispatch on the prefix."""
+closure and the profile sum for zinv_lambda as references; the K, Kbar and
+Sym^j_s series computed as Y itself rather than as E = Y/Z_X; and the
+regex-chain parsers of ``--X`` and ``--spec`` that try every pattern in turn,
+as references for the parsers that dispatch on the prefix."""
 
 import math
 import re
+from functools import lru_cache
 
 from disczeta import genfun as G
 from disczeta import partitions as pt
@@ -13,6 +15,11 @@ from disczeta.errors import InputError
 from disczeta.models import COUNT, EULER, HODGE, MOTIVIC, Specialization, XModel
 from disczeta.motive import GRADING_POINTS, TruncSeries
 from disczeta.partitions import GenPartition, Part, elementary_merges, merge_closure
+
+
+def generators(lam: GenPartition) -> set[str]:
+    """The generator names that occur in the parts of lam."""
+    return {g for p in lam.parts for g, _ in p.coeffs}
 
 
 def formalize(lam: GenPartition) -> GenPartition:
@@ -23,7 +30,7 @@ def formalize(lam: GenPartition) -> GenPartition:
     result is reproducible.  Any two sub-multisets of the result with equal
     sums are equal.
     """
-    existing = lam.generators()
+    existing = generators(lam)
     prefix = "a"
     distinct = sorted(set(lam.parts), key=lambda p: p.coeffs)
     while any(f"{prefix}{i}" in existing for i in range(1, len(distinct) + 1)):
@@ -77,6 +84,48 @@ def zinv_by_profiles(X, lam: GenPartition, N_pts: int, spec=None) -> TruncSeries
             orderings = math.factorial(m) // math.prod(map(math.factorial, G._profile_of_ints(pi)))
             terms[s0 + sum(pi)].append(((-1) ** m * orderings, G.w_of(X, base_profile + pi, spec)))
     return TruncSeries.from_coeffs(map(G._combination, terms), GRADING_POINTS)
+
+
+@lru_cache(maxsize=None)
+def k_profile_y(X, spec, profile: tuple[int, ...], a: int, order: int) -> TruncSeries:
+    """K_(<a)nu(t) itself, nu of profile ``profile``: the base Z(t) Z(t^a)^-1,
+    rebuilt for each profile, with the members of A_<a(nu) as in ``genfun._k_profile``."""
+    Z = G.zeta_series(X, order, spec)
+    base = Z * Z.compose_power(a).inverse()
+    if not profile:
+        return base
+    den = [0] * (order + 1)
+    smaller = []  # (count, excess, K of the finer profile)
+    for (split, excess), n in G._member_counts(profile, a).items():
+        if excess > order:
+            continue
+        if split == profile:
+            den[excess] += n
+        else:
+            smaller.append((n, excess, k_profile_y(X, spec, split, a, order)))
+    w = G.w_of(X, profile, spec)
+    numerator = (G._combination([(1, w * c)] + [(-n, K[i - e]) for n, e, K in smaller if e <= i])
+                 for i, c in enumerate(base.coeffs))
+    return TruncSeries.from_coeffs(numerator) * TruncSeries.from_coeffs(den).inverse()
+
+
+def kbar_y(X, spec, nu: tuple[int, ...], order: int) -> TruncSeries:
+    """Kbar_{1*nu}(t) itself, nu ascending, from Kbar_{1*()} = Z: one shifted
+    series subtracted for each mu in S(nu', a)."""
+    if not nu:
+        return G.zeta_series(X, order, spec)
+    a, rest = nu[0], nu[1:]
+    acc = kbar_y(X, spec, rest, order + a)
+    for mu in sorted(pt.s_set(rest, a)):
+        K = k_profile_y(X, spec, G._profile_of_ints(mu), a, order + a)
+        acc = acc - K.shift_up(sum(mu) - sum(rest))
+    return acc.shift_down(a)
+
+
+def sym_s_y(X, s: int, N: int, spec=None) -> TruncSeries:
+    """sum_j [Sym^j_s X] t^j as the product Z^[s](t^2) Z(t) Z(t^2)^-1 at order N."""
+    Z = G.zeta_series(X, N, spec)
+    return G.zeta_s_series(X, s, N, spec).compose_power(2) * Z * Z.compose_power(2).inverse()
 
 
 def ll_chains(lam: GenPartition, max_len: int | None = None) -> list[tuple[GenPartition, ...]]:

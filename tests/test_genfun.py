@@ -14,7 +14,7 @@ from disczeta.models import COUNT, HODGE, MOTIVIC, Specialization, XModel
 from disczeta.motive import GRADING_MULT, LaurentL, MotivicClass, TruncSeries, dim_grade
 from disczeta.partitions import GenPartition
 
-from chains import formalization_with_profile, ll_chains, zinv_by_profiles
+from chains import formalization_with_profile, k_profile_y, kbar_y, ll_chains, sym_s_y, zinv_by_profiles
 
 S = MotivicClass.sym
 A1 = XModel.affine_space(1)
@@ -432,36 +432,36 @@ class TestDensities:
 
 class TestLimits:
     def test_distinct_points_limit(self):
-        # Y = K_(<2): limit 1/zeta_X(2d)
+        # E = K_(<2)/Z: limit 1/zeta_X(2d)
         order = G.default_limit_order(8)
-        rep = G.stable_limit(G.k_lt_a_nu(A1, (), 2, order), A1, "Sym", 8)
+        rep = G.stable_limit(G.k_over_zeta(A1, (), 2, order), A1, "Sym", 8)
         # 1/zeta_{A^1}(2) = 1 - L^-1
         assert rep.value == MotivicClass.from_laurent(LaurentL.of({0: 1, -1: -1}))
 
     def test_multiple_point_complement(self):
-        # Y = Kbar_{1*(a)} on counts: E(M^-1) = q^a (1 - 1/zeta(a d)), so the
+        # E = Kbar_{1*(a)}/Z on counts: E(M^-1) = q^a (1 - 1/zeta(a d)), so the
         # probability of an a-fold point is 1 - zeta(ad)^-1 after the M^-a shift
         q = Fraction(2)
         for a in (2, 3):
             order = G.default_limit_order(8)
-            rep = G.stable_limit(G.kbar_nu(Q2, (a,), order), Q2, "Sym", 8, Specialization(COUNT, 2))
+            rep = G.stable_limit(G.kbar_over_zeta(Q2, (a,), order), Q2, "Sym", 8, Specialization(COUNT, 2))
             prob = rep.value / q**a
             zeta_ad_inv = 1 - q ** (1 - a) / q  # 1 - q^-a ... via zeta_{A^1}(a) = 1/(1-q^(1-a))
             assert prob == 1 - (1 - q ** (1 - a))
 
     def test_sym_s_limit_matches_formula(self):
-        # Y = sym_s_series: limit zeta^[s](2d)/zeta(2d), numeric q
+        # E = sym_s_series/Z: limit zeta^[s](2d)/zeta(2d), numeric q
         q = Fraction(3)
         order = G.default_limit_order(10)
-        rep = G.stable_limit(G.sym_s_series(Q3, 1, order), Q3, "Sym", 10, Specialization(COUNT, 3))
+        rep = G.stable_limit(G.sym_s_over_zeta(Q3, 1, order), Q3, "Sym", 10, Specialization(COUNT, 3))
         # zeta^[1]_{A^1}(2)/zeta_{A^1}(2) = q q^-2/(1-q^-2) (1-q^-1)
         expect = q * q**-2 / (1 - q**-2) * (1 - 1 / q)
         assert abs(rep.value - expect) < Fraction(1, q.numerator**8)
 
     def test_m_power_normalization_affine(self):
         order = G.default_limit_order(6)
-        rep = G.stable_limit(G.k_lt_a_nu(A1, (), 2, order), A1, "M", 6)
-        sym_rep = G.stable_limit(G.k_lt_a_nu(A1, (), 2, order), A1, "Sym", 6)
+        rep = G.stable_limit(G.k_over_zeta(A1, (), 2, order), A1, "M", 6)
+        sym_rep = G.stable_limit(G.k_over_zeta(A1, (), 2, order), A1, "Sym", 6)
         assert rep.value == sym_rep.value  # S-infinity of affine space is 1
         assert rep.normalization == "by M^j"
 
@@ -472,20 +472,19 @@ class TestLimits:
         values = {}
         for target in (MOTIVIC, HODGE):
             spec = Specialization(target)
-            Y = G.k_lt_a_nu(X, (), 2, order, spec)
-            values[target] = G.stable_limit(Y, X, "M", cutoff, spec).value
+            E = G.k_over_zeta(X, (), 2, order, spec)
+            values[target] = G.stable_limit(E, X, "M", cutoff, spec).value
         assert values[MOTIVIC] != 1
         assert values[HODGE] == X.specialize(values[MOTIVIC], Specialization(HODGE))
 
     def test_m_power_normalization_needs_a_stable_class(self):
         X = XModel.hodge_deligne("1+uv")
-        Y = G.k_lt_a_nu(X, (), 2, G.default_limit_order(5))
+        E = G.k_over_zeta(X, (), 2, G.default_limit_order(5))
         with pytest.raises(InputError, match="not available for the hd model"):
-            G.stable_limit(Y, X, "M", 5)
+            G.stable_limit(E, X, "M", 5)
 
     def test_divergence_detected(self):
-        bad = G.zeta_series(A1, G.default_limit_order(6))  # E = 1/... wait: E = Z/Z = 1 converges
-        # build a genuinely divergent Y: coefficients L^(2n) on a dim-1 model
+        # a divergent E: coefficients L^(2n) on a dim-1 model
         coeffs = [LaurentL.term(1, 2 * n) for n in range(20)]
         with pytest.raises(DivergenceError):
             G.stable_limit(TruncSeries.from_coeffs(coeffs), A1, "Sym", 6)
@@ -503,7 +502,7 @@ class TestLimits:
     def test_distinct_nu_limit_motivic_cross(self):
         rep = G.distinct_nu_limit(A1, (2,), 8)
         order = G.default_limit_order(8 + 2)
-        sl = G.stable_limit(G.k_lt_a_nu(A1, (2,), 2, order), A1, "Sym", 10)
+        sl = G.stable_limit(G.k_over_zeta(A1, (2,), 2, order), A1, "Sym", 10)
         shifted = sl.value * MotivicClass.lefschetz(-2)
         trimmed, _ = shifted.truncated(dim_grade(1), -8)
         assert trimmed == rep.value
@@ -514,9 +513,9 @@ class TestLimits:
 
     def test_cutoff_monotone(self):
         order = G.default_limit_order(10)
-        y = G.kbar_nu(A1, (2,), order)
-        small = G.stable_limit(y, A1, "Sym", 5)
-        large = G.stable_limit(y, A1, "Sym", 9)
+        e = G.kbar_over_zeta(A1, (2,), order)
+        small = G.stable_limit(e, A1, "Sym", 5)
+        large = G.stable_limit(e, A1, "Sym", 9)
         trimmed, _ = large.value.truncated(dim_grade(1), -5)
         assert trimmed == small.value
 
@@ -599,3 +598,36 @@ class TestSecondRoutes:
                 G.w_of(X, (1,) * len(nu), spec)
             )
             assert closed == G.k_lt_a_nu(X, nu, 2, order, spec) * Z.inverse()
+
+
+# the models on which E = Y/Z_X is held against Y: symbolic, P1 motivic-L,
+# P2 Hodge-Deligne and the counts of A^1 over F_3
+E_MODELS = [
+    (SYM, None),
+    (P1, Specialization(MOTIVIC)),
+    (XModel.proj_space(2), Specialization(HODGE)),
+    (Q3, Specialization(COUNT, 3)),
+]
+
+
+@pytest.mark.parametrize("X,spec", E_MODELS, ids=lambda v: v.label() if isinstance(v, XModel) else str(v))
+def test_e_routes_match_y_references(X, spec):
+    # k_over_zeta, kbar_over_zeta and sym_s_over_zeta give E; Z*E is the Y of the
+    # references in chains.py, and E is that Y times Z^-1
+    n = 10
+    Z = G.zeta_series(X, n, spec)
+    Zinv = Z.inverse()
+    for a in (2, 3):
+        assert G.k_over_zeta(X, (), a, n, spec) == Z.compose_power(a).inverse(), a  # (Z^-1)(t^a)
+        for nu in [(), (a,), (a, a), (a, a + 1, a + 1), (a,) * 4, (a, a + 1, a + 2, a + 2)]:
+            Y = k_profile_y(X, spec, G._profile_of_ints(nu), a, n)
+            assert G.k_lt_a_nu(X, nu, a, n, spec) == Y, (a, nu)
+            assert G.k_over_zeta(X, nu, a, n, spec) == Y * Zinv, (a, nu)
+    for nu in [(2,), (3,), (2, 2), (2, 3), (2, 2, 3), (3, 3, 4), (2, 2, 2, 2), (2, 3, 3, 4)]:
+        Y = kbar_y(X, spec, nu, n)
+        assert G.kbar_nu(X, nu, n, spec) == Y, nu
+        assert G.kbar_over_zeta(X, nu, n, spec) == Y * Zinv, nu
+    for s in range(4):
+        Y = sym_s_y(X, s, n, spec)
+        assert G.sym_s_series(X, s, n, spec) == Y, s
+        assert G.sym_s_over_zeta(X, s, n, spec) == Y * Zinv, s

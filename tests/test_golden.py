@@ -57,6 +57,11 @@ FRONTIER = {
     "k_nu223_P1_count_q3_trunc12.json": "series k --nu 2,2,3 --X P1 --spec count:q=3 --trunc 12 --json",
     "k_nu2x3_P2_hodge_trunc10.json": "series k --nu 2^3 --X P2 --spec hodge-deligne --trunc 10 --json",
     "limit_kbar_nu223_P2_hodge_cutoff8.json": "limit --of kbar --nu 2,2,3 --X P2 --spec hodge-deligne --cutoff 8 --json",
+    "limit_k_nu2x3_P2_hodge_cutoff10.json": "limit --of k --nu 2^3 --X P2 --spec hodge-deligne --cutoff 10 --json",
+    "limit_symsing_s2_P2_motivic_cutoff10.json": "limit --of symsing --s 2 --X P2 --spec motivic-L --cutoff 10 --json",
+    "limit_distinctnu_nu234_P1_hodge_cutoff10.json": "limit --of distinctnu --nu 2,3,4 --X P1 --spec hodge-deligne --cutoff 10 --json",
+    "symsing_s3_P2_hodge_trunc16.json": "series symsing --s 3 --X P2 --spec hodge-deligne --trunc 16 --json",
+    "limit_kbar_nu2x5_3_P2_hodge_cutoff12.json": "limit --of kbar --nu 2^5,3 --X P2 --spec hodge-deligne --cutoff 12 --json",
 }
 
 

@@ -225,6 +225,13 @@ class TestSeries:
         f = ts(1, 1, 0, 0)
         assert f.compose_power(2) == ts(1, 0, 1, 0)
 
+    def test_compose_power_to_a_higher_order(self):
+        f = ts(1, 2, 3)
+        assert f.compose_power(2, 5) == ts(1, 0, 2, 0, 3, 0)
+        assert f.compose_power(3, 4) == ts(1, 0, 0, 2, 0)
+        with pytest.raises(InputError):
+            f.compose_power(2, 6)  # needs the t^3 coefficient f does not have
+
     def test_compose_zeta_odd_zero(self):
         n = 7
         z = geometric_series(M.L, n).compose_power(3)
