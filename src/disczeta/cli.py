@@ -6,8 +6,8 @@ and ``verify`` (the acceptance suite).  Output is a human-readable table by
 default; ``--json`` and ``--csv`` select machine formats.  Every run echoes
 its fully resolved parameter set and is deterministic given its flags.
 
-Exit codes: 2 for unusable input, 3 for enumeration-guard violations, 4 for
-a failed internal cross-check.
+Exit codes: 1 when a ``verify`` criterion fails, 2 for unusable input, 3 for
+enumeration-guard violations, 4 for a failed internal cross-check.
 
 The only environment variable honored is DISCZETA_CACHE: a directory for
 caching oracle enumeration results.  Entries are keyed on the package version

@@ -16,6 +16,9 @@ The series built here (all truncated in t):
   the second route that checks ``zinv_series``.
 * densities and stable limits expressed through motivic zeta values.
 
+One stratum: ``w_class`` is [w_lambda] by multiplicity profile, and the memoized
+``wbar_class`` sums it over the profile counts of ``partitions.closure_profiles``.
+
 A stable class is lim_j Y_j/[Sym^j X] = E(M^-1) with E = Y/Z_X, so the K, Kbar
 and Sym_s recursions run on E (``k_over_zeta``, ``kbar_over_zeta``,
 ``sym_s_over_zeta``) and ``stable_limit`` takes E; only the ``series`` verb
@@ -134,10 +137,11 @@ def w_class(lam: GenPartition | tuple[int, ...]) -> MotivicClass:
     return _w_profile(tuple(sorted(profile, reverse=True)))
 
 
+@lru_cache(maxsize=None)  # GenPartition is immutable and hashable, so no entry goes stale
 def wbar_class(lam: GenPartition) -> MotivicClass:
-    """The closed stratum [wbar_lambda] = sum of w_mu over the merge closure."""
-    profiles = Counter(map(pt.multiplicity_profile, pt.merge_closure(lam)))
-    return MotivicClass.combination((n, _w_profile(p)) for p, n in profiles.items())
+    """The closed stratum [wbar_lambda] = sum of w_mu over the merge closure,
+    from the profile counts of ``partitions.closure_profiles``: no mu is built."""
+    return MotivicClass.combination((n, _w_profile(p)) for p, n in pt.closure_profiles(lam).items())
 
 
 @lru_cache(maxsize=None)
@@ -411,7 +415,9 @@ class _Ring:
     def evaluate_at_M(self, E: TruncSeries, cutoff: int):
         """E(M^-1) = E(L^-dim), verifying decay over a tail window of E."""
         d = self.dim
-        res = self._evaluate(E, max(d, 1), cutoff)
+        if d < 1:  # E(L^0) = E(1) has no codimension to truncate by
+            raise InputError(f"stable limits need a model of dimension >= 1, got {d}")
+        res = self._evaluate(E, d, cutoff)
         for n in range(max(1, E.order - max(3, E.order // 4) + 1), E.order + 1):
             if self._visible(E.coeffs[n], d * n, cutoff):
                 raise DivergenceError(

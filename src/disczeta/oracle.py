@@ -609,6 +609,8 @@ def exp_formula_sym_counts(N_r, n_max: int) -> list[int]:
     sum_{e | d} mu(d/e) N_e (d times the closed points of degree d); anything else
     means the point-count data is inconsistent.
     """
+    if n_max < 0:
+        raise InputError(f"n must be >= 0, got {n_max}")
     counts = list(N_r)
     if len(counts) < n_max:
         raise ModelDataError(f"need N_r for r <= {n_max}, got {len(counts)}")

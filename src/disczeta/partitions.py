@@ -5,10 +5,10 @@ nonnegative integer coordinates over an alphabet of named generators.  The
 distinguished unit generator ``1`` represents the integer one, so ordinary
 integer partitions embed as multisets of multiples of the unit.
 
-The merge closure gives the closed strata [wbar_lambda]
-(``genfun.wbar_class``) and the reference routes of the tests.  The K and
-Kbar recursions of :mod:`disczeta.genfun` use no merge order: they run on
-multiplicity profiles and on ``s_set``, which works on integer tuples.
+The merge closure of lambda is the block-sum multisets over the set
+partitions of its parts.  One pass builds them (``_block_multisets``) for the
+closed strata [wbar_lambda] (``closure_profiles``, on packed parts) and for
+``s_set`` (on integer parts); ``merge_closure`` is the tests' reference route.
 
 All values are immutable and all functions are pure; the module-level memo
 caches are only ever written idempotently, so concurrent use is safe.
@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import operator
 import re
+from collections import Counter
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InputError
@@ -226,7 +227,7 @@ def is_formalization(lam: GenPartition) -> bool:
 
 
 def elementary_merges(lam: GenPartition) -> frozenset[GenPartition]:
-    """All partitions obtained by replacing one unordered pair of parts by its sum."""
+    """All partitions obtained by replacing one unordered pair of parts by its sum (the step of ``merge_closure``)."""
     if len(lam) < 2:
         return frozenset()
     out = set()
@@ -251,6 +252,9 @@ def merge_closure(lam: GenPartition) -> frozenset[GenPartition]:
     closure(lam) = {lam} united with the closures of its elementary merges,
     each memoized.  Each merge removes one part, so the recursion is finite and
     its depth is the part count of lam.
+
+    ``closure_profiles`` counts it without building it; this set is the tests'
+    reference, and ``bench/tracer.py`` reads it and ``_closure_cache`` by name.
     """
     return _closure(lam)
 
@@ -284,15 +288,33 @@ def add_lt_a(nu: GenPartition, a: int) -> list[tuple[GenPartition, bool]]:
     return [(member, multiplicity_profile(member) == base_profile) for member in sorted(members)]
 
 
+def _block_multisets(parts: Iterable[int]) -> set[tuple[int, ...]]:
+    """The multisets of block sums, as sorted tuples, over the set partitions of ``parts``."""
+    sums = {()}  # each next part starts a block or joins one: the first of equal sums only
+    for v in parts:
+        joined = {tuple(sorted(s[:i] + (s[i] + v,) + s[i + 1 :])) for s in sums for i in range(len(s))
+                  if not i or s[i] != s[i - 1]}
+        sums = joined | {tuple(sorted(s + (v,))) for s in sums}
+    return sums
+
+
+def closure_profiles(lam: GenPartition) -> Counter:
+    """How many mu of the merge closure of lam have each multiplicity profile.
+
+    Each part is packed into one int, a slot per generator.  A slot is as wide
+    as the bit length of lam's coefficient sum: no block sum carries over.
+    """
+    width = sum(c for p in lam.parts for _, c in p.coeffs).bit_length()
+    slot = {g: i * width for i, g in enumerate(sorted({g for p in lam.parts for g, _ in p.coeffs}))}
+    packed = [sum(c << slot[g] for g, c in p.coeffs) for p in lam.parts]
+    return Counter(tuple(sorted(Counter(s).values(), reverse=True)) for s in _block_multisets(packed))
+
+
 def _block_sums(parts: tuple[int, ...], a: int, budget: int) -> set[tuple[int, ...]]:
     """B(parts, budget): the multisets {sum(B) + k_B} over the set partitions of
     ``parts`` into blocks B, with 0 <= k_B < a and sum k_B <= budget."""
-    sums = {()}  # the block-sum multisets so far; each next part starts a block or joins one
-    for v in parts:
-        joined = {tuple(sorted(s[:i] + (s[i] + v,) + s[i + 1 :])) for s in sums for i in range(len(s))}
-        sums = joined | {tuple(sorted(s + (v,))) for s in sums}
-    return {tuple(sorted(map(operator.add, s, ks)))
-            for s in sums for ks in itertools.product(range(a), repeat=len(s)) if sum(ks) <= budget}
+    return {tuple(sorted(map(operator.add, s, ks))) for s in _block_multisets(parts)
+            for ks in itertools.product(range(a), repeat=len(s)) if sum(ks) <= budget}
 
 
 def s_set(nu: tuple[int, ...], a: int) -> frozenset[tuple[int, ...]]:

@@ -9,6 +9,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from disczeta import cli
 
 ARGV = ["oracle", "--op", "syms", "--q", "2", "--s", "0", "--j", "3", "--json"]
@@ -141,6 +143,24 @@ def test_oracle_expformula_rejects_negative_closed_points(capsys, monkeypatch):
     assert cli.main(["oracle", "--op", "expformula", "--counts", "5,1", "--n", "2"]) == 2
     assert "the closed points of degree 2 are negative" in capsys.readouterr().err
     assert cli.main(["oracle", "--op", "expformula", "--counts", "5,1", "--n", "1"]) == 0
+
+
+def test_oracle_expformula_rejects_negative_n(capsys, monkeypatch):
+    monkeypatch.delenv("DISCZETA_CACHE", raising=False)
+    assert cli.main(["oracle", "--op", "expformula", "--counts", "2", "--n", "-1"]) == 2
+    assert "n must be >= 0, got -1" in capsys.readouterr().err
+    assert cli.main(["oracle", "--op", "expformula", "--counts", "2", "--n", "0"]) == 0
+    assert "sym_counts: [1]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("of", [["k"], ["kbar", "--nu", "2"], ["symsing", "--s", "1"], ["distinctnu", "--nu", "2"]])
+def test_limit_on_a_zero_dimensional_model_exits_2(capsys, of):
+    # E(M^-1) = E(1) on a point: K_(<2)/Z = 1 - t^2 gives 0, not the 1 - L^-2 of E(L^-1)
+    for model in (["pt"], ["pt", "--spec", "count:q=2"], ["P0"], ["hd:1"]):
+        assert cli.main(["limit", "--of", *of, "--cutoff", "4", "--X", *model]) == 2, model
+        assert "stable limits need a model of dimension >= 1, got 0" in capsys.readouterr().err
+    assert cli.main(["limit", "--of", *of, "--cutoff", "4", "--X", "A^1"]) == 0
+    assert "value: " in capsys.readouterr().out
 
 
 INTDENSITY = ["oracle", "--op", "intdensity", "--a", "2", "--b", "2", "--r", "0", "--bound", "1000"]

@@ -1,11 +1,14 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from disczeta import genfun as G
 from disczeta import partitions as P
 from disczeta.errors import InputError
+from disczeta.motive import MotivicClass
 from disczeta.partitions import GenPartition, Part
 
 from chains import formalize, generators, ll_chains, merge_closure_bfs, s_set_by_closure
@@ -29,6 +32,12 @@ def splits_into(values, targets) -> bool:
 
 def gens(*names):
     return GenPartition.of(Part.gen(n) for n in names)
+
+
+def wbar_by_closure(lam):
+    """[wbar_lam] summed over the merge closure itself: the reference for ``wbar_class``."""
+    profiles = Counter(map(P.multiplicity_profile, P.merge_closure(lam)))
+    return MotivicClass.combination((n, G.w_class(p)) for p, n in profiles.items())
 
 
 class TestBasics:
@@ -117,6 +126,13 @@ class TestMergeOrder:
                              GenPartition.of([x] * (j - a) + [Part.gen("x", a)] + [y] * r)]
         for lam in lams:
             assert P.merge_closure(lam) == merge_closure_bfs(lam), lam
+            assert G.wbar_class(lam) == wbar_by_closure(lam), lam
+
+    @given(st.lists(st.sampled_from(["1", "2", "x", "y", "2x+1", "x+y", "3x+2y"]), min_size=0, max_size=7))
+    @settings(max_examples=60, deadline=None)
+    def test_wbar_class_matches_the_closure_with_repeated_generator_parts(self, terms):
+        lam = GenPartition.parse(",".join(terms))
+        assert G.wbar_class(lam) == wbar_by_closure(lam), lam
 
     def test_leq_paper_chain(self):
         assert gp(3, 3) in P.merge_closure(gp(1, 2, 3))
