@@ -7,11 +7,10 @@ default; ``--json`` and ``--csv`` select machine formats.  Every run echoes
 its fully resolved parameter set and is deterministic given its flags.
 
 Exit codes: 1 when a ``verify`` criterion fails, 2 for unusable input, 3 for
-enumeration-guard violations, 4 for a failed internal cross-check.
+enumeration-guard violations, 4 for a failed internal cross-check, 141 when
+stdout closes before the output is written (as for a writer killed by SIGPIPE).
 
-The only environment variable honored is DISCZETA_CACHE: a directory for
-caching oracle enumeration results.  Entries are keyed on the package version
-and the parameters; an unreadable entry counts as a miss.
+The CLI reads no environment variable and keeps no state between runs.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 
-from . import __version__
 from . import genfun as G
 from . import oracle as O
 from . import verify as V
@@ -47,7 +45,9 @@ def _render(value) -> str:
 def _json_value(value):
     if isinstance(value, Fraction):
         return {"fraction": f"{value.numerator}/{value.denominator}", "float": float(value)}
-    if isinstance(value, (int, float, str)) or value is None:
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    if isinstance(value, (int, float, str, list)) or value is None:
         return value
     return str(value)
 
@@ -183,55 +183,25 @@ def cmd_hyper(args) -> int:
     return 0
 
 
-def _cache_path(params: dict) -> str | None:
-    """The cache entry of an oracle call, keyed on the package version and the params."""
-    cache_dir = os.environ.get("DISCZETA_CACHE")
-    if not cache_dir:
-        return None
-    import hashlib  # loads OpenSSL: only cached oracle calls pay for it
-
-    os.makedirs(cache_dir, exist_ok=True)
-    key_text = json.dumps({"version": __version__, "params": params}, sort_keys=True)
-    key = hashlib.sha256(key_text.encode()).hexdigest()[:24]
-    return os.path.join(cache_dir, f"oracle-{key}.json")
-
-
-def _cache_load(path: str) -> dict | None:
-    """A cached result; None when the entry is missing, unreadable or not a JSON object."""
-    try:
-        with open(path) as fh:
-            result = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    return result if isinstance(result, dict) else None
-
-
-def _cache_store(path: str, result: dict) -> None:
-    """Write through a temporary file and rename it, so no reader sees half an entry."""
-    import tempfile
-
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".oracle-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(result, fh, sort_keys=True)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
 def _sweep_range(text: str) -> range:
-    lo, _, hi = text.partition(":")
-    return range(int(lo), int(hi) + 1)
+    """The degrees j of ``--sweep-j lo:hi``, both ends included."""
+    try:
+        lo, hi = map(int, text.split(":"))
+        if lo <= hi:
+            return range(lo, hi + 1)
+    except ValueError:
+        pass
+    raise InputError(f"--sweep-j takes lo:hi with integers lo <= hi, got {text!r}")
 
 
 def cmd_oracle(args) -> int:
     guard = args.guard
     start = time.monotonic()
+    sweep = None  # the {j: value} of a --sweep-j run, printed one row per j
     if args.op == "wlambda":
         lam = _parse_int_partition(args.lam or "")
         params = {"op": "wlambda", "X": args.oracle_X, "q": args.q, "lambda": ",".join(map(str, lam)) or "-"}
-        work = lambda: {"exact_count": O.count_w_lambda(args.oracle_X, args.q, lam, guard)}
+        result = {"exact_count": O.count_w_lambda(args.oracle_X, args.q, lam, guard)}
     elif args.op in ("syms", "hyper"):
         if args.j is None and not args.sweep_j:
             raise InputError(f"oracle --op {args.op} needs --j or --sweep-j")
@@ -242,54 +212,40 @@ def cmd_oracle(args) -> int:
         else:
             count, key, sweep_key = O.count_hyper_s, "fraction", "fractions"
         params = {"op": args.op, "q": args.q, "s": args.s or 0}
-        one = lambda j: _json_value(count(args.q, j, args.s or 0, guard))
         if args.sweep_j:
-            params["sweep_j"] = args.sweep_j
-            work = lambda: {sweep_key: {j: one(j) for j in _sweep_range(args.sweep_j)}}
+            params["sweep_j"], js = args.sweep_j, _sweep_range(args.sweep_j)
         else:
-            params["j"] = args.j
-            work = lambda: {key: one(args.j)}
+            params["j"], js = args.j, [args.j]
+        # the largest j first: the guard refuses a sweep before any j is counted
+        values = {j: count(args.q, j, args.s or 0, guard) for j in reversed(js)}
+        sweep = {j: values[j] for j in js} if args.sweep_j else None
+        result = {sweep_key: sweep} if sweep else {key: values[args.j]}
     elif args.op == "intdensity":
         params = {"op": "intdensity", "a": args.a, "b": args.b, "r": args.r, "bound": args.bound}
-
-        def work():
-            # the prediction's exact denominator has thousands of digits: it is
-            # reported as a float, and its guard runs before the sieve
-            pred = O.power_density_prediction(args.a, args.b, args.r, guard=guard)
-            density = O.integer_power_density(args.a, args.b, args.r, args.bound, max(guard, args.bound))
-            return {
-                "fraction": _json_value(density),
-                "prediction": float(pred["value"]),
-                "prediction_tail_bound": float(pred["tail_bound"]),
-                "deviation": float(abs(density - pred["value"])),
-                "note": pred["note"],
-            }
-
+        # the prediction's exact denominator has thousands of digits: it is
+        # reported as a float, and its guard runs before the sieve
+        pred = O.power_density_prediction(args.a, args.b, args.r, guard=guard)
+        density = O.integer_power_density(args.a, args.b, args.r, args.bound, max(guard, args.bound))
+        result = {
+            "fraction": density,
+            "prediction": float(pred["value"]),
+            "prediction_tail_bound": float(pred["tail_bound"]),
+            "deviation": float(abs(density - pred["value"])),
+            "note": pred["note"],
+        }
     elif args.op == "expformula":
         counts = [int(x) for x in (args.counts or "").split(",") if x.strip()]
         params = {"op": "expformula", "counts": counts, "n": args.n}
-        work = lambda: {"sym_counts": O.exp_formula_sym_counts(counts, args.n)}
+        result = {"sym_counts": O.exp_formula_sym_counts(counts, args.n)}
     else:  # pragma: no cover
         raise InputError(f"unknown oracle op {args.op}")
-
-    cache = _cache_path(params)
-    result = _cache_load(cache) if cache else None
-    if result is None:
-        result = work()
-        if cache:
-            _cache_store(cache, result)
-    else:  # JSON object keys are strings; a sweep is keyed by the integer j
-        for key in ("counts", "fractions"):
-            if key in result:
-                result[key] = {int(j): v for j, v in result[key].items()}
     result["elapsed_s"] = round(time.monotonic() - start, 3)
 
-    cell = lambda v: _render(Fraction(v["fraction"])) if isinstance(v, dict) and "fraction" in v else v
-    rows = [(k, cell(v)) for k, v in result.items()]  # a fraction prints as in hyper and limit
-    for key in ("counts", "fractions"):
-        if key in result:
-            rows = [("j", key[:-1])] + [(j, cell(v)) for j, v in result[key].items()]
-    _emit(args, "oracle", params, result, rows)
+    # a fraction prints as in hyper and limit
+    rows = [(k, _render(v) if isinstance(v, Fraction) else v) for k, v in (sweep or result).items()]
+    if sweep:
+        rows.insert(0, ("j", sweep_key[:-1]))
+    _emit(args, "oracle", params, _json_value(result), rows)
     return 0
 
 
@@ -383,7 +339,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader is gone: the flush at exit writes to devnull instead
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except GuardExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -1,6 +1,7 @@
-"""The CLI: the oracle's on-disk cache (DISCZETA_CACHE), exit codes, text
-output and the modules that start-up loads."""
+"""The CLI: exit codes, text output, the modules that start-up loads and the
+environment it does not read."""
 
+import ast
 import json
 import os
 import re
@@ -13,55 +14,12 @@ import pytest
 
 from disczeta import cli
 
-ARGV = ["oracle", "--op", "syms", "--q", "2", "--s", "0", "--j", "3", "--json"]
-SWEEP = ["oracle", "--op", "syms", "--q", "2", "--s", "0", "--sweep-j", "8:11"]
-
-
-def _run(capsys) -> dict:
-    assert cli.main(ARGV) == 0
-    result = json.loads(capsys.readouterr().out)["result"]
-    result.pop("elapsed_s")
-    return result
-
-
-def _entries(cache_dir):
-    return sorted(cache_dir.iterdir())
-
-
-def test_corrupt_entry_is_a_miss(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("DISCZETA_CACHE", str(tmp_path))
-    fresh = _run(capsys)
-    [entry] = _entries(tmp_path)
-    entry.write_text('{"exact_count": ')  # a half-written entry
-    assert _run(capsys) == fresh
-    assert json.loads(entry.read_text()) == fresh
-    assert _entries(tmp_path) == [entry]
-
-
-def test_version_bump_ignores_old_entries(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("DISCZETA_CACHE", str(tmp_path))
-    fresh = _run(capsys)
-    [entry] = _entries(tmp_path)
-    entry.write_text(json.dumps({"exact_count": -1}))
-    assert _run(capsys) == {"exact_count": -1}  # the entry is served under its own version
-    monkeypatch.setattr(cli, "__version__", cli.__version__ + ".post1")
-    assert _run(capsys) == fresh
-    assert len(_entries(tmp_path)) == 2
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _output(capsys, argv) -> str:
     assert cli.main(argv) == 0
     return re.sub(r'"elapsed_s": [^,}]+', '"elapsed_s": null', capsys.readouterr().out)
-
-
-def test_cached_sweep_prints_like_a_fresh_run(tmp_path, monkeypatch, capsys):
-    for fmt in (["--json"], []):
-        cache_dir = tmp_path / ("json" if fmt else "text")
-        monkeypatch.setenv("DISCZETA_CACHE", str(cache_dir))
-        fresh = _output(capsys, SWEEP + fmt)  # a miss: computed, then written
-        assert len(_entries(cache_dir)) == 1
-        assert _output(capsys, SWEEP + fmt) == fresh  # a hit: read back
-    assert [line.split(":")[0] for line in fresh.splitlines()[2:]] == ["8", "9", "10", "11"]
 
 
 def test_m_power_normalization_exit_codes(capsys):
@@ -132,21 +90,71 @@ def test_oracle_j_with_sweep_j_is_rejected(capsys):
         assert "--j cannot be combined with --sweep-j" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sweep", ["11:8", "8", "3:4:5", "a:4", ":4"])
+@pytest.mark.parametrize("op", ["syms", "hyper"])
+def test_malformed_sweep_j_is_rejected(capsys, op, sweep):
+    assert cli.main(["oracle", "--op", op, "--q", "3", "--sweep-j", sweep]) == 2
+    assert capsys.readouterr() == ("", f"error: --sweep-j takes lo:hi with integers lo <= hi, got {sweep!r}\n")
+
+
+def test_sweep_past_the_guard_is_refused_before_any_j(capsys):
+    for op, q, hi, states in (("syms", "3", 15, 14348907), ("hyper", "2", 23, 16777216)):
+        start = time.monotonic()
+        assert cli.main(["oracle", "--op", op, "--q", q, "--sweep-j", f"0:{hi}"]) == 3
+        assert time.monotonic() - start < 1.0
+        assert capsys.readouterr() == ("", f"error: enumeration needs {states} states, guard is 10000000\n")
+
+
+def test_oracle_ignores_a_disczeta_cache_directory(tmp_path, monkeypatch, capsys):
+    # older releases kept an oracle cache there, and served its entries without validating the input
+    (tmp_path / "oracle-entry.json").write_text('{"sym_counts": [1, 5, 13]}')
+    before = {p.name: p.read_text() for p in tmp_path.iterdir()}
+    monkeypatch.setenv("DISCZETA_CACHE", str(tmp_path))
+    assert cli.main(["oracle", "--op", "expformula", "--counts", "5,1", "--n", "2"]) == 2
+    assert "the closed points of degree 2 are negative" in capsys.readouterr().err
+    assert cli.main(["oracle", "--op", "syms", "--q", "2", "--j", "3"]) == 0  # and a valid call writes nothing
+    assert "exact_count: 4" in capsys.readouterr().out
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == before
+
+
+def test_package_reads_no_environment_variable():
+    reads = []
+    for path in sorted((SRC / "disczeta").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = [node.attr] if isinstance(node, ast.Attribute) else []
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = [alias.name for alias in node.names]
+            reads += [f"{path.name}:{node.lineno} {name}" for name in names if name in ("environ", "environb", "getenv")]
+    assert reads == []
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # ~200 KB of output: the writer meets the closed pipe mid-stream.  Buffered,
+    # as by default, it still holds output that the flush at exit must not raise on.
+    argv = [sys.executable, "-m", "disczeta.cli", "series", "zetainv", "--trunc", "25"]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline().startswith("params: ")
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == ""
+    proc.stderr.close()
+
+
 def test_counts_with_negative_closed_points_exit_2(capsys):
     assert cli.main(["series", "zeta", "--X", "counts:q=2,N=[5,1]", "--trunc", "2"]) == 2
     assert "the closed points of degree 2 are negative" in capsys.readouterr().err
     assert cli.main(["series", "zeta", "--X", "counts:q=2,N=[5,1]", "--trunc", "1"]) == 0
 
 
-def test_oracle_expformula_rejects_negative_closed_points(capsys, monkeypatch):
-    monkeypatch.delenv("DISCZETA_CACHE", raising=False)
+def test_oracle_expformula_rejects_negative_closed_points(capsys):
     assert cli.main(["oracle", "--op", "expformula", "--counts", "5,1", "--n", "2"]) == 2
     assert "the closed points of degree 2 are negative" in capsys.readouterr().err
     assert cli.main(["oracle", "--op", "expformula", "--counts", "5,1", "--n", "1"]) == 0
 
 
-def test_oracle_expformula_rejects_negative_n(capsys, monkeypatch):
-    monkeypatch.delenv("DISCZETA_CACHE", raising=False)
+def test_oracle_expformula_rejects_negative_n(capsys):
     assert cli.main(["oracle", "--op", "expformula", "--counts", "2", "--n", "-1"]) == 2
     assert "n must be >= 0, got -1" in capsys.readouterr().err
     assert cli.main(["oracle", "--op", "expformula", "--counts", "2", "--n", "0"]) == 0
@@ -212,9 +220,6 @@ def test_oracle_text_renders_fractions_like_hyper(capsys):
     assert "value: 1/2 = 0.5" in capsys.readouterr().out  # the same rendering
     assert cli.main(["oracle", "--op", "hyper", "--q", "2", "--j", "3", "--csv"]) == 0
     assert capsys.readouterr().out.splitlines()[1] == "fraction,3/8 = 0.375"
-
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_startup_loads_neither_dataclasses_nor_openssl():

@@ -12,7 +12,6 @@ Running this file as a script rewrites the golden from the current code:
 
 import io
 import json
-import os
 import re
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
@@ -96,11 +95,9 @@ def _run(command: str) -> dict:
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-def test_cli_text_and_csv_match_the_golden(command, monkeypatch):
-    monkeypatch.delenv("DISCZETA_CACHE", raising=False)
+def test_cli_text_and_csv_match_the_golden(command):
     assert _run(command) == _golden()[command]
 
 
 if __name__ == "__main__":
-    os.environ.pop("DISCZETA_CACHE", None)
     GOLDEN.write_text(json.dumps({c: _run(c) for c in COMMANDS}, indent=1, sort_keys=True) + "\n")

@@ -27,8 +27,7 @@ def test_cli_output_matches_reference(key, capsys):
 
 
 @pytest.mark.parametrize("key", ORACLE_KEYS)
-def test_oracle_output_matches_reference(key, capsys, monkeypatch):
-    monkeypatch.delenv("DISCZETA_CACHE", raising=False)
+def test_oracle_output_matches_reference(key, capsys):
     assert cli.main(key.split() + ["--json"]) == 0
     output = json.loads(capsys.readouterr().out)
     output["result"].pop("elapsed_s")
