@@ -4,7 +4,8 @@ Verbs: ``series`` (k, kbar, symsing, zeta, zetainv), ``limit`` (stable
 limits), ``hyper`` (singular-divisor densities), ``oracle`` (brute force)
 and ``verify`` (the acceptance suite).  Output is a human-readable table by
 default; ``--json`` and ``--csv`` select machine formats.  Every run echoes
-its fully resolved parameter set and is deterministic given its flags.
+its fully resolved parameter set and is deterministic given its flags;
+``oracle`` refuses, naming them, the flags its ``--op`` does not read.
 
 Exit codes: 1 when a ``verify`` criterion fails, 2 for unusable input, 3 for
 enumeration-guard violations, 4 for a failed internal cross-check, 141 when
@@ -194,12 +195,34 @@ def _sweep_range(text: str) -> range:
     raise InputError(f"--sweep-j takes lo:hi with integers lo <= hi, got {text!r}")
 
 
+# the flags each oracle op reads, with their defaults; an op refuses any other flag it is given
+_ORACLE_FLAGS = {
+    "wlambda": {"oracle_X": "A1", "q": 2, "lam": "", "guard": O.DEFAULT_GUARD},
+    "syms": {"q": 2, "j": None, "s": 0, "sweep_j": None, "guard": O.DEFAULT_GUARD},
+    "intdensity": {"a": 2, "b": 2, "r": 0, "bound": 10**6, "guard": O.DEFAULT_GUARD},
+    "expformula": {"counts": "", "n": 8},
+}
+_ORACLE_FLAGS["hyper"] = _ORACLE_FLAGS["syms"]
+
+
+def _oracle_flags(args) -> None:
+    """Refuse, naming them, the flags that ``args.op`` does not read; fill in the defaults of the rest."""
+    reads, given = _ORACLE_FLAGS[args.op], vars(args)
+    every = dict.fromkeys(dest for flags in _ORACLE_FLAGS.values() for dest in flags)
+    unread = [d for d in every if d not in reads and given[d] is not None]
+    if unread:
+        names = ", ".join("--" + {"oracle_X": "X", "lam": "lambda"}.get(d, d).replace("_", "-") for d in unread)
+        raise InputError(f"oracle --op {args.op} does not read {names}")
+    given.update((dest, default) for dest, default in reads.items() if given[dest] is None)
+
+
 def cmd_oracle(args) -> int:
+    _oracle_flags(args)
     guard = args.guard
     start = time.monotonic()
     sweep = None  # the {j: value} of a --sweep-j run, printed one row per j
     if args.op == "wlambda":
-        lam = _parse_int_partition(args.lam or "")
+        lam = _parse_int_partition(args.lam)
         params = {"op": "wlambda", "X": args.oracle_X, "q": args.q, "lambda": ",".join(map(str, lam)) or "-"}
         result = {"exact_count": O.count_w_lambda(args.oracle_X, args.q, lam, guard)}
     elif args.op in ("syms", "hyper"):
@@ -211,13 +234,13 @@ def cmd_oracle(args) -> int:
             count, key, sweep_key = O.count_sym_s, "exact_count", "counts"
         else:
             count, key, sweep_key = O.count_hyper_s, "fraction", "fractions"
-        params = {"op": args.op, "q": args.q, "s": args.s or 0}
+        params = {"op": args.op, "q": args.q, "s": args.s}
         if args.sweep_j:
             params["sweep_j"], js = args.sweep_j, _sweep_range(args.sweep_j)
         else:
             params["j"], js = args.j, [args.j]
         # the largest j first: the guard refuses a sweep before any j is counted
-        values = {j: count(args.q, j, args.s or 0, guard) for j in reversed(js)}
+        values = {j: count(args.q, j, args.s, guard) for j in reversed(js)}
         sweep = {j: values[j] for j in js} if args.sweep_j else None
         result = {sweep_key: sweep} if sweep else {key: values[args.j]}
     elif args.op == "intdensity":
@@ -233,12 +256,10 @@ def cmd_oracle(args) -> int:
             "deviation": float(abs(density - pred["value"])),
             "note": pred["note"],
         }
-    elif args.op == "expformula":
-        counts = [int(x) for x in (args.counts or "").split(",") if x.strip()]
+    else:  # expformula
+        counts = [int(x) for x in args.counts.split(",") if x.strip()]
         params = {"op": "expformula", "counts": counts, "n": args.n}
         result = {"sym_counts": O.exp_formula_sym_counts(counts, args.n)}
-    else:  # pragma: no cover
-        raise InputError(f"unknown oracle op {args.op}")
     result["elapsed_s"] = round(time.monotonic() - start, 3)
 
     # a fraction prints as in hyper and limit
@@ -309,20 +330,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="exhaustive finite-field and integer brute force")
     p_oracle.add_argument("--op", choices=["wlambda", "syms", "hyper", "intdensity", "expformula"], required=True)
-    p_oracle.add_argument("--X", dest="oracle_X", choices=["A1", "P1"], default="A1")
-    p_oracle.add_argument("--q", type=int, default=2)
-    p_oracle.add_argument("--j", type=int, default=None)
-    p_oracle.add_argument("--s", type=int, default=None)
-    p_oracle.add_argument("--lambda", dest="lam", default=None)
-    p_oracle.add_argument("--sweep-j", default=None, help="inclusive range lo:hi for CSV/JSON sweeps")
-    p_oracle.add_argument("--a", type=int, default=2)
-    p_oracle.add_argument("--b", type=int, default=2)
-    p_oracle.add_argument("--r", type=int, default=0)
-    p_oracle.add_argument("--bound", type=int, default=10**6)
-    p_oracle.add_argument("--counts", default=None, help="comma-separated N_r for expformula")
-    p_oracle.add_argument("--n", type=int, default=8)
-    p_oracle.add_argument("--guard", type=int, default=O.DEFAULT_GUARD,
-                          help=f"state-space guard (cannot exceed {O.MAX_GUARD})")
+    # no defaults here: an op fills in those of the flags it reads (_ORACLE_FLAGS)
+    p_oracle.add_argument("--X", dest="oracle_X", choices=["A1", "P1"])
+    for flag in ("--q", "--j", "--s", "--a", "--b", "--r", "--bound", "--n"):
+        p_oracle.add_argument(flag, type=int)
+    p_oracle.add_argument("--lambda", dest="lam")
+    p_oracle.add_argument("--sweep-j", help="inclusive range lo:hi for CSV/JSON sweeps")
+    p_oracle.add_argument("--counts", help="comma-separated N_r for expformula")
+    p_oracle.add_argument("--guard", type=int, help=f"state-space guard (cannot exceed {O.MAX_GUARD})")
     p_oracle.add_argument("--json", action="store_true")
     p_oracle.add_argument("--csv", action="store_true")
     p_oracle.set_defaults(func=cmd_oracle)

@@ -30,8 +30,12 @@ They meet in one identity, zinv_lambda(t) = Z^[m](t) * Z(t)^-1 read
 coefficientwise, m the multiplicity profile of lambda; tier-1 checks it
 against the sum over Q.  Densities are computed multiplicity-graded only.
 
+Each coefficient the recursions build is one ``motive._dot`` of (int, value)
+pairs, a product such as w(c) w(rest) or w * c passed in as one more pair.
+
 Evaluation at t = L^-m happens in a target ring (``_ring``): motivic-L,
-count(q) or Hodge-Deligne.  Only the ring classes know which one it is.
+count(q) or Hodge-Deligne.  Only the ring classes know which one it is; the
+graded two share ``motive.eval_at_L_power``.
 
 Coefficient of t^n never involves S_k with k > n, so truncation at N keeps
 all symmetric-power generators at index <= N.
@@ -58,9 +62,9 @@ from .models import COUNT, HODGE, MOTIVIC, Specialization, UVPoly, XModel, zeta_
 from .motive import (
     GRADING_MULT,
     GRADING_POINTS,
-    NEG_INF,
     MotivicClass,
     TruncSeries,
+    _dot,
     dim_grade,
     eval_at_L_power,
 )
@@ -108,14 +112,14 @@ def _w_profile(profile: tuple[int, ...]) -> MotivicClass:
     minus: Counter = Counter()  # profile -> how many times its class is subtracted
     if len(profile) == 1:
         c = profile[0]
-        head = MotivicClass.sym(c)
+        head = (1, MotivicClass.sym(c))
         for k in range(1, c):
             for pi in pt.enumerate_k_parts(k, c):
                 if sum(pi) == c:
                     minus[_profile_of_ints(pi)] += 1
     else:
         c, rest = profile[-1], profile[:-1]
-        head = _w_profile((c,)) * _w_profile(rest)
+        head = (_w_profile((c,)), _w_profile(rest))
         for ks in _collisions(rest, c):
             total = sum(ks)
             collided: list[int] = [] if total == c else [c - total]
@@ -125,7 +129,7 @@ def _w_profile(profile: tuple[int, ...]) -> MotivicClass:
                 if m - k:
                     collided.append(m - k)
             minus[tuple(sorted(collided, reverse=True))] += 1
-    return MotivicClass.combination([(1, head)] + [(-n, _w_profile(p)) for p, n in minus.items()])
+    return MotivicClass.dot([head] + [(-n, _w_profile(p)) for p, n in minus.items()])
 
 
 def w_class(lam: GenPartition | tuple[int, ...]) -> MotivicClass:
@@ -141,7 +145,7 @@ def w_class(lam: GenPartition | tuple[int, ...]) -> MotivicClass:
 def wbar_class(lam: GenPartition) -> MotivicClass:
     """The closed stratum [wbar_lambda] = sum of w_mu over the merge closure,
     from the profile counts of ``partitions.closure_profiles``: no mu is built."""
-    return MotivicClass.combination((n, _w_profile(p)) for p, n in pt.closure_profiles(lam).items())
+    return MotivicClass.dot((n, _w_profile(p)) for p, n in pt.closure_profiles(lam).items())
 
 
 @lru_cache(maxsize=None)
@@ -189,7 +193,7 @@ def zeta_colored_series(X: XModel, m: tuple[int, ...], N: int, spec: Specializat
     terms: list = [[] for _ in range(N + 1)]
     for (n, joint), count in acc.items():
         terms[n].append((count, w_of(X, joint, spec)))
-    return TruncSeries.from_coeffs(map(_combination, terms))
+    return TruncSeries.from_coeffs(map(_dot, terms))
 
 
 def _profile_of_ints(lam: tuple[int, ...]) -> tuple[int, ...]:
@@ -255,7 +259,7 @@ def _k_profile(X: XModel, spec: Specialization | None, profile: tuple[int, ...],
     if den[0] != 1:
         raise InternalCheckError("denominator of the K-recursion lost its constant term 1")
     w = w_of(X, profile, spec)
-    numerator = (_combination([(1, w * c)] + [(-n, K[i - e]) for n, e, K in smaller if e <= i])
+    numerator = (_dot([(w, c)] + [(-n, K[i - e]) for n, e, K in smaller if e <= i])
                  for i, c in enumerate(base.coeffs))
     return TruncSeries.from_coeffs(numerator) * TruncSeries.from_coeffs(den).inverse()
 
@@ -272,7 +276,7 @@ def kbar_over_zeta(X: XModel, nu, N: int, spec: Specialization | None = None) ->
     Kbar_{1*(a nu')} = (Kbar_{1*nu'} - sum_{mu in S(nu',a)} K_(<a)mu
     t^(sum mu - sum nu')) / t^a, read divided by Z, asserting that every
     negative power of t cancels.  The mu are grouped by (excess, profile),
-    and each coefficient is one combination.
+    and each coefficient is one ``_dot``.
     """
     nu = int_partition(nu)
     if any(p < 2 for p in nu):
@@ -287,7 +291,7 @@ def _kbar_rec(X: XModel, spec: Specialization | None, nu: tuple[int, ...], order
     acc = _kbar_rec(X, spec, rest, order + a)
     groups = Counter((sum(mu) - sum(rest), _profile_of_ints(mu)) for mu in pt.s_set(rest, a))
     smaller = [(n, e, _k_profile(X, spec, p, a, order + a)) for (e, p), n in groups.items()]
-    coeffs = (_combination([(1, c)] + [(-n, K[i - e]) for n, e, K in smaller if e <= i])
+    coeffs = (_dot([(1, c)] + [(-n, K[i - e]) for n, e, K in smaller if e <= i])
               for i, c in enumerate(acc.coeffs))
     return TruncSeries.from_coeffs(coeffs).shift_down(a)
 
@@ -371,12 +375,6 @@ def zinv_series(
     return colored_over_zeta(X, pt.multiplicity_profile(lam), N_pts, spec).regraded(GRADING_POINTS)
 
 
-def _combination(pairs: list):
-    """sum n * value over the pairs, in one dict when the values are sparse polynomials."""
-    poly = next((type(v) for _, v in pairs if hasattr(v, "combination")), None)
-    return poly.combination(pairs) if poly else sum(n * v for n, v in pairs)
-
-
 # ---------------------------------------------------------------------------
 # evaluation at powers of L, by target ring
 
@@ -387,7 +385,9 @@ class _Ring:
     A subclass fixes the image of L and what truncating at a codimension
     cutoff means there; ``_ring`` picks the one for a specialization.  The
     graded rings (values of class ``poly``) keep the monomials whose
-    ``grade`` is at least -scale * cutoff.
+    ``grade`` is at least -scale * cutoff, through ``eval_at_L_power``.  The
+    euler target (L -> 1, where no cutoff truncates) has no ring, and neither
+    has the symbolic model, whose series keep the generators S_i.
     """
 
     symbol = "L"
@@ -431,13 +431,7 @@ class _Ring:
         return value
 
     def _evaluate(self, f, m, cutoff):
-        total = self.poly.zero()
-        dropped = NEG_INF
-        for n, c in enumerate(f.coeffs):
-            term, drop = (c * self.L(-m * n)).truncated(self.grade, -self.scale * cutoff)
-            dropped = max(dropped, drop)
-            total = total + term
-        return total, dropped
+        return eval_at_L_power(f, self.L(-m), self.grade, -self.scale * cutoff)
 
     def _visible(self, c, shift, cutoff):
         """Whether c * L^-shift reaches codimension cutoff."""
@@ -451,14 +445,8 @@ class _MotivicRing(_Ring):
     poly = MotivicClass
 
     def __init__(self, dim: int, L_image):
-        super().__init__(dim, L_image)
+        super().__init__(dim, MotivicClass.lefschetz())  # X.L_image is None: the classes keep L
         self.grade = dim_grade(dim)
-
-    def L(self, exp: int):
-        return MotivicClass.lefschetz(exp)
-
-    def _evaluate(self, f, m, cutoff):
-        return eval_at_L_power(f, m, self.dim, cutoff)
 
 
 class _CountRing(_Ring):
@@ -507,6 +495,11 @@ def _ring(X: XModel, spec: Specialization | None) -> _Ring:
     if target not in _RINGS:
         raise SymbolicEvaluationError(
             f"the {target} target does not support evaluation at powers of L"
+        )
+    if X.kind == "symbolic":
+        raise SymbolicEvaluationError(
+            "series coefficients contain symmetric-power generators; "
+            "specialize via an X-model before evaluating at a power of L"
         )
     return _RINGS[target](X.dim, X.L_image(spec))
 

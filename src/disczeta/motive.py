@@ -7,7 +7,8 @@ Three layers:
   routine (``degree`` and ``truncated``, given a grade function on keys).
   A key is one int with a 16-bit slot per exponent (the packed exponent
   vectors of Monagan and Pearce), so a product's key is a sum of ints.
-  Every product runs through one multiply-accumulate kernel, ``dot``.
+  One multiply-accumulate kernel, ``dot``, builds every product and every
+  integer combination sum n_i x_i (an int factor weights x_i's own keys).
 * ``LaurentL`` and ``MotivicClass`` -- exponents (k_0, k_1, ..., k_r), k_r > 0,
   stand for L^k_0 S_1^k_1 ... S_r^k_r: Laurent polynomials in the Lefschetz
   symbol L, and polynomials over them in the symmetric-power generators
@@ -26,8 +27,9 @@ and its text ``*S_i^e_i``, and remembers the last few thousand S-parts.  A
 ascending by their (i, e_i) pairs, then the L exponent descending.
 
 Under a declared ambient dimension d, the monomial prod S_i^{e_i} * L^k has
-dimension d * sum(i*e_i) + k (``dim_grade``); evaluation at t = L^-m filters
-by this dimensional grading.
+dimension d * sum(i*e_i) + k (``dim_grade``).  ``eval_at_L_power`` is the one
+graded evaluator: sum f_n (L^-m)^n, keeping the monomials whose grade reaches a
+floor, for whatever image of L^-m, grading and floor ``genfun._Ring`` passes.
 
 Everything here is an immutable value; functions are pure and safe to share
 between threads.
@@ -43,7 +45,7 @@ from itertools import chain, compress
 from numbers import Rational
 from operator import or_
 
-from .errors import InputError, InternalCheckError, SymbolicEvaluationError
+from .errors import InputError, InternalCheckError
 
 NEG_INF = float("-inf")
 
@@ -154,20 +156,6 @@ class SparsePoly:
         d = cls._dict_of(value)
         return None if d is None else cls(d)
 
-    @classmethod
-    def combination(cls, pairs):
-        """sum n * value over the (n, value) pairs in one dict, dropping zeros once at the end."""
-        acc: dict = {}
-        get = acc.get
-        for n, value in pairs:
-            d = cls._dict_of(value)
-            if n == 1 and not acc:
-                acc.update(d)
-            else:
-                for k, v in d.items():
-                    acc[k] = get(k, 0) + n * v
-        return cls({k: v for k, v in acc.items() if v})
-
     @property
     def terms(self) -> tuple:
         """The (exponent tuple, coefficient) pairs in increasing tuple order."""
@@ -204,28 +192,34 @@ class SparsePoly:
         """sum a * b over the (a, b) pairs of ints and values with compatible keys, as one ``cls``.
 
         The multiply-accumulate kernel: every product lands in one dict of packed
-        keys (k1 + k2 - _unit), zeros are dropped once at the end, and a key that
-        left its slot raises ``InternalCheckError``.  ``__mul__`` is the one-pair case.
+        keys (k1 + k2 - _unit), an int ``a`` adds a * b under b's own keys (a 1 into
+        the empty dict copies them), zeros are dropped once at the end, and a key
+        that left its slot raises ``InternalCheckError``.  ``__mul__`` is the
+        one-pair case, and the integer combination sum n_i x_i is the pairs (n_i, x_i).
         """
         acc: dict = {}
         get, unit, dict_of = acc.get, cls._unit, cls._dict_of
         for a, b in pairs:
             b = dict_of(b)
-            for k1, v1 in dict_of(a).items():
-                k1 -= unit
-                for k2, v2 in b.items():
-                    k = k1 + k2
-                    acc[k] = get(k, 0) + v1 * v2
+            if not isinstance(a, int):
+                for k1, v1 in dict_of(a).items():
+                    k1 -= unit
+                    for k2, v2 in b.items():
+                        k = k1 + k2
+                        acc[k] = get(k, 0) + v1 * v2
+            elif a == 1 and not acc:
+                acc.update(b)
+            else:
+                for k, v in b.items():
+                    acc[k] = get(k, 0) + a * v
         if reduce(or_, acc, 0) & _GUARDS:  # a negative key sets every guard above its top slot
             raise InternalCheckError(f"an exponent of a product left its {_BITS}-bit key slot")
         return cls({k: v for k, v in acc.items() if v})
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return type(self)({k: other * v for k, v in self._d.items()} if other else {})
         if self._dict_of(other) is None:
             return NotImplemented
-        return self.dot(((self, other),))
+        return self.dot(((other, self),))  # an int other is a weight
 
     __rmul__ = __mul__
 
@@ -326,7 +320,6 @@ class LaurentL(SparsePoly):
 
 
 L = LaurentL.term(1, 1)
-L_INV = LaurentL.term(1, -1)
 
 
 class MotivicClass(SparsePoly):
@@ -343,18 +336,6 @@ class MotivicClass(SparsePoly):
         if i == 0 or exp == 0:
             return MotivicClass.one()
         return MotivicClass({MotivicClass.key((0,) * i + (exp,)): 1})
-
-    @staticmethod
-    def sym_product(profile: tuple[int, ...]) -> "MotivicClass":
-        """prod_i S_{m_i} for a multiplicity profile."""
-        out = MotivicClass.one()
-        for m in profile:
-            out = out * MotivicClass.sym(m)
-        return out
-
-    @staticmethod
-    def from_laurent(c: LaurentL) -> "MotivicClass":
-        return MotivicClass(c._d)
 
     @staticmethod
     def lefschetz(exp: int = 1) -> "MotivicClass":
@@ -375,9 +356,6 @@ class MotivicClass(SparsePoly):
         return SparsePoly.__mul__(self, other)
 
     __rmul__ = __mul__
-
-    def is_pure_laurent(self) -> bool:
-        return max(self._d, default=0) <= _MASK
 
     def substitute_syms(self, sym_value, l_value=None):
         """Map S_i -> sym_value(i) and (optionally) L -> l_value, in any ring."""
@@ -559,30 +537,14 @@ class TruncSeries:
         return json.dumps(self.to_json())
 
 
-def eval_at_L_power(f: TruncSeries, m: int, d: int, codim_cutoff: int) -> tuple[MotivicClass, float]:
-    """Evaluate sum_n f_n L^(-mn), keeping monomials of dimension >= -codim_cutoff.
+def eval_at_L_power(f: TruncSeries, L_m, grade, floor) -> tuple:
+    """(sum_n f_n L_m^n without the monomials of grade < floor, the largest grade left out).
 
-    Returns the value and the largest dimension left out.  Coefficient n of a
-    configuration-style series has dimension at most d*n, so m > d makes term
-    dimensions decay; the caller checks that (``genfun._Ring.evaluate``), and
-    limits at m = d check convergence themselves.  Coefficients must be free
-    of symmetric-power generators.
+    ``L_m`` is L^-m in a ``SparsePoly`` class that every coefficient coerces to;
+    the caller checks convergence (``genfun._Ring.evaluate``).
     """
-    grade = dim_grade(d)
-    total = MotivicClass.zero()
-    discarded = NEG_INF
+    total, dropped = L_m.zero(), NEG_INF
     for n, c in enumerate(f.coeffs):
-        term = MotivicClass.coerce(c)
-        if term is None:
-            raise SymbolicEvaluationError(f"cannot evaluate coefficient of type {type(c).__name__}")
-        if not term.is_pure_laurent():
-            raise SymbolicEvaluationError(
-                "series coefficients contain symmetric-power generators; "
-                "specialize via an X-model before evaluating at a power of L"
-            )
-        if m * n:
-            term = term * MotivicClass.lefschetz(-m * n)
-        term, drop = term.truncated(grade, -codim_cutoff)
-        discarded = max(discarded, drop)
-        total = total + term
-    return total, discarded
+        term, drop = (L_m**n * c).truncated(grade, floor)
+        total, dropped = total + term, max(dropped, drop)
+    return total, dropped

@@ -1,9 +1,10 @@
-"""<<-chains of generalized partitions, the test suite's reference route to [w_lambda],
-with formalization, a breadth-first merge closure, S(nu, a) by the merge
-closure and the profile sum for zinv_lambda as references; the K, Kbar and
-Sym^j_s series computed as Y itself rather than as E = Y/Z_X; and the
-regex-chain parsers of ``--X`` and ``--spec`` that try every pattern in turn,
-as references for the parsers that dispatch on the prefix."""
+"""<<-chains of generalized partitions, the test suite's reference route to [w_lambda]
+(a signed sum of ``sym_product`` over chains), with formalization, a
+breadth-first merge closure, S(nu, a) by the merge closure and the profile sum
+for zinv_lambda as references; the K, Kbar and Sym^j_s series computed as Y
+itself rather than as E = Y/Z_X; and the regex-chain parsers of ``--X`` and
+``--spec`` that try every pattern in turn, as references for the parsers that
+dispatch on the prefix."""
 
 import math
 import re
@@ -13,8 +14,16 @@ from disczeta import genfun as G
 from disczeta import partitions as pt
 from disczeta.errors import InputError
 from disczeta.models import COUNT, EULER, HODGE, MOTIVIC, Specialization, XModel
-from disczeta.motive import GRADING_POINTS, TruncSeries
+from disczeta.motive import GRADING_POINTS, MotivicClass, TruncSeries, _dot
 from disczeta.partitions import GenPartition, Part, elementary_merges, merge_closure
+
+
+def sym_product(profile: tuple[int, ...]) -> MotivicClass:
+    """prod_i S_{m_i} for a multiplicity profile."""
+    out = MotivicClass.one()
+    for m in profile:
+        out = out * MotivicClass.sym(m)
+    return out
 
 
 def generators(lam: GenPartition) -> set[str]:
@@ -83,7 +92,7 @@ def zinv_by_profiles(X, lam: GenPartition, N_pts: int, spec=None) -> TruncSeries
         for pi in pt.enumerate_k_parts(m, N_pts - s0):
             orderings = math.factorial(m) // math.prod(map(math.factorial, G._profile_of_ints(pi)))
             terms[s0 + sum(pi)].append(((-1) ** m * orderings, G.w_of(X, base_profile + pi, spec)))
-    return TruncSeries.from_coeffs(map(G._combination, terms), GRADING_POINTS)
+    return TruncSeries.from_coeffs(map(_dot, terms), GRADING_POINTS)
 
 
 @lru_cache(maxsize=None)
@@ -104,7 +113,7 @@ def k_profile_y(X, spec, profile: tuple[int, ...], a: int, order: int) -> TruncS
         else:
             smaller.append((n, excess, k_profile_y(X, spec, split, a, order)))
     w = G.w_of(X, profile, spec)
-    numerator = (G._combination([(1, w * c)] + [(-n, K[i - e]) for n, e, K in smaller if e <= i])
+    numerator = (_dot([(w, c)] + [(-n, K[i - e]) for n, e, K in smaller if e <= i])
                  for i, c in enumerate(base.coeffs))
     return TruncSeries.from_coeffs(numerator) * TruncSeries.from_coeffs(den).inverse()
 

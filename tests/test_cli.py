@@ -90,6 +90,37 @@ def test_oracle_j_with_sweep_j_is_rejected(capsys):
         assert "--j cannot be combined with --sweep-j" in capsys.readouterr().err
 
 
+def test_oracle_refuses_the_flags_of_other_ops(capsys):
+    for argv, op, unread in (
+        ("--op wlambda --X P1 --q 2 --lambda 1,1,1 --sweep-j 1:2 --j 5", "wlambda", "--j, --sweep-j"),
+        ("--op intdensity --bound 100 --q 7 --sweep-j 9:1", "intdensity", "--q, --sweep-j"),
+        ("--op expformula --counts 2 --guard 10000000", "expformula", "--guard"),  # the default value, given
+        ("--op syms --j 3 --X A1 --s 0", "syms", "--X"),
+    ):
+        assert cli.main(["oracle", *argv.split()]) == 2
+        assert capsys.readouterr() == ("", f"error: oracle --op {op} does not read {unread}\n")
+
+
+@pytest.mark.parametrize(
+    "bare, explicit",
+    [
+        ("--op wlambda", "--op wlambda --X A1 --q 2 --guard 10000000"),
+        ("--op syms --j 3", "--op syms --j 3 --q 2 --s 0 --guard 10000000"),
+        ("--op hyper --sweep-j 2:3", "--op hyper --sweep-j 2:3 --q 2 --s 0 --guard 10000000"),
+        ("--op intdensity --bound 100", "--op intdensity --bound 100 --a 2 --b 2 --r 0 --guard 10000000"),
+        ("--op expformula --counts 2,4,8,16,32,64,128,256", "--op expformula --counts 2,4,8,16,32,64,128,256 --n 8"),
+    ],
+)
+def test_oracle_flags_at_their_defaults_print_what_omitting_them_prints(capsys, bare, explicit):
+    outputs = []
+    for argv in (bare, explicit):
+        assert cli.main(["oracle", *argv.split(), "--json"]) == 0
+        output = json.loads(capsys.readouterr().out)
+        output["result"].pop("elapsed_s")
+        outputs.append(output)
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("sweep", ["11:8", "8", "3:4:5", "a:4", ":4"])
 @pytest.mark.parametrize("op", ["syms", "hyper"])
 def test_malformed_sweep_j_is_rejected(capsys, op, sweep):

@@ -72,6 +72,11 @@ EDGE_CASES = (
     "series zeta --X P3",
     "series zeta --X counts:q=2,N=[3,5,10] --trunc 3",
     "series zeta --X counts:q=2,N=[3,5,9] --trunc 3",
+    "limit --of k --cutoff 4",
+    "limit --of distinctnu --nu 2 --cutoff 4",
+    "hyper --d 1 --s 1 --cutoff 4",
+    "hyper --d 1 --s 1 --ordered --cutoff 4",
+    "hyper --d 1 --multi 2 --cutoff 4",
 )
 
 COMMANDS = list(SLOTS + EDGE_CASES) + [c + " --csv" for c in SLOTS + EDGE_CASES if c != "verify"]  # verify has no CSV

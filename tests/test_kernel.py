@@ -12,7 +12,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_packed_keys import Ref, _pack, refs
 
@@ -123,17 +123,42 @@ def test_fraction_and_int_series_keep_the_generic_loop():
         TruncSeries((LaurentL.term(2), 1)).inverse()
 
 
+def factors(cls):
+    """(reference, factor) pairs for ``cls.dot``: values of ``cls``, values of
+    ``LaurentL`` too when ``cls`` is ``MotivicClass``, and int weights, 0 and 1 among them."""
+    uv = cls is UVPoly
+    unit = (0, 0) if uv else (0,)
+    classes = (cls, LaurentL) if cls is MotivicClass else (cls,)
+    values = [refs(c, 3).map(lambda r, c=c: (r, _pack(r, c))) for c in classes]
+    weights = st.one_of(st.sampled_from([0, 1]), st.integers(-3, 3)).map(lambda n: (Ref({unit: n}, uv), n))
+    return st.one_of(weights, *values)
+
+
 @pytest.mark.parametrize("cls", [LaurentL, MotivicClass, UVPoly])
 def test_dot_is_the_sum_of_the_products(cls):
-    @given(st.lists(st.tuples(refs(cls, 3), refs(cls, 3)), max_size=4))
-    @settings(max_examples=100, deadline=None)
+    uv = cls is UVPoly
+    unit = (0, 0) if uv else (0,)
+    ref = Ref({(2, -1) if uv else (2,): 3, unit: -1}, uv)
+    x = y = (ref, _pack(ref, cls))
+    if cls is MotivicClass:  # a LaurentL value inside a MotivicClass.dot
+        laurent = Ref({(-1,): 2, (4,): -5})
+        y = (laurent, _pack(laurent, LaurentL))
+    one, zero = (Ref({unit: 1}, uv), 1), (Ref({}, uv), 0)
+
+    @given(st.lists(st.tuples(factors(cls), factors(cls)), max_size=4))
+    @example([(one, y), (zero, x), (x, y)])  # a weight 1 into the empty dict, a weight 0, a product
+    @example([(one, x), (one, y), (y, one)])  # two weights 1: only the first copies
+    @settings(max_examples=150, deadline=None)
     def run(pairs):
-        expect = Ref({}, uv=cls is UVPoly)
-        for a, b in pairs:
+        expect = Ref({}, uv)
+        for (a, _), (b, _) in pairs:
             expect = expect + a * b
-        got = cls.dot([(_pack(a, cls), _pack(b, cls)) for a, b in pairs])
+        values = [v for pair in pairs for _, v in pair if not isinstance(v, int)]
+        before = [v.terms for v in values]
+        got = cls.dot([(a, b) for (_, a), (_, b) in pairs])
         assert type(got) is cls
         assert got.terms == expect.terms
+        assert [v.terms for v in values] == before  # a weight 1 copies its value's terms, not the dict
 
     run()
 

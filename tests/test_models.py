@@ -312,7 +312,7 @@ class TestUVPoly:
     def test_integer_scalars(self, n, a):
         got = n * a
         assert type(got) is UVPoly
-        assert got.terms == (a * n).terms == UVPoly.combination([(n, a)]).terms
+        assert got.terms == (a * n).terms == UVPoly.dot([(n, a)]).terms
         assert all(v for _, v in got.terms)
         assert (0 * a).terms == (a * 0).terms == ()
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from disczeta import motive as M
 from disczeta.errors import DivergenceError, InputError, InternalCheckError, SymbolicEvaluationError
 from disczeta.genfun import _ring
-from disczeta.models import Specialization, XModel
+from disczeta.models import HODGE, UV, Specialization, UVPoly, XModel
 from disczeta.motive import (
     GRADING_POINTS,
     LaurentL,
@@ -16,6 +16,10 @@ from disczeta.motive import (
     dim_grade,
     eval_at_L_power,
 )
+
+from chains import sym_product
+
+L_INV = LaurentL.term(1, -1)
 
 
 def geometric_series(ratio, order: int) -> TruncSeries:
@@ -35,7 +39,7 @@ def laurents(max_terms=3):
 
 
 def _term(monomial, coeff):
-    out = MotivicClass.from_laurent(coeff)
+    out = MotivicClass.coerce(coeff)
     for i, e in monomial:
         out = out * MotivicClass.sym(i, e)
     return out
@@ -57,7 +61,7 @@ class TestLaurent:
         y = M.L - 1
         assert x * y == LaurentL.of({2: 1, 0: -1})
         assert x - x == LaurentL.of({})
-        assert M.L * M.L_INV == 1
+        assert M.L * L_INV == 1
 
     def test_dimension(self):
         assert LaurentL.of({3: 1, -2: 5}).degree(dim_grade(1)) == 3
@@ -84,7 +88,7 @@ class TestLaurent:
     @given(laurents())
     @settings(max_examples=100)
     def test_a_laurent_value_is_a_motivic_class(self, a):
-        c = MotivicClass.from_laurent(a)
+        c = MotivicClass.coerce(a)
         assert c == a and a == c
         assert hash(c) == hash(a)
         assert str(c) == str(a)
@@ -92,9 +96,9 @@ class TestLaurent:
 
 class TestMotivicClass:
     def test_sym_product(self):
-        s21 = MotivicClass.sym_product((2, 1))
+        s21 = sym_product((2, 1))
         assert s21 == MotivicClass.sym(2) * MotivicClass.sym(1)
-        assert MotivicClass.sym_product(()) == 1
+        assert sym_product(()) == 1
 
     def test_s0_is_one(self):
         assert MotivicClass.sym(0) == MotivicClass.one()
@@ -126,14 +130,16 @@ class TestMotivicClass:
 
 
 class TestCombination:
+    """An integer combination sum n_i x_i is one ``dot`` over the pairs (n_i, x_i)."""
+
     def test_no_pairs_is_zero(self):
-        assert MotivicClass.combination([]) == MotivicClass.zero()
-        assert not LaurentL.combination([])
+        assert MotivicClass.dot([]) == MotivicClass.zero()
+        assert not LaurentL.dot([])
 
     def test_cancelling_pairs_leave_no_zero_coefficient(self):
         a = MotivicClass.sym(2) - MotivicClass.lefschetz(1) + 3
         b = MotivicClass.sym(1) * MotivicClass.lefschetz(-1)
-        c = MotivicClass.combination([(2, a), (1, b), (-2, a), (3, 1), (-1, 3)])
+        c = MotivicClass.dot([(2, a), (1, b), (-2, a), (3, 1), (-1, 3)])
         assert c.terms == b.terms
         assert all(v for _, v in c.terms)
 
@@ -143,23 +149,23 @@ class TestCombination:
         expect = MotivicClass.zero()
         for n, value in pairs:
             expect = expect + n * value
-        got = MotivicClass.combination(pairs)
+        got = MotivicClass.dot(pairs)
         assert got == expect and got.terms == expect.terms
 
     @given(laurents(), st.integers(min_value=-3, max_value=3))
     @settings(max_examples=40)
     def test_a_laurent_value_combines_into_a_class(self, a, n):
-        c = MotivicClass.combination([(n, a)])
+        c = MotivicClass.dot([(n, a)])
         assert type(c) is MotivicClass
         assert c == n * a and hash(c) == hash(n * a)
 
 
 
 def check_integer_scalar(n, x):
-    """n * x, x * n and combination([(n, x)]) are one value with no zero coefficient."""
+    """n * x, x * n and dot([(n, x)]) are one value with no zero coefficient."""
     got = n * x
     assert type(got) is type(x)
-    assert got.terms == (x * n).terms == type(x).combination([(n, x)]).terms
+    assert got.terms == (x * n).terms == type(x).dot([(n, x)]).terms
     assert all(v for _, v in got.terms)
     assert (0 * x).terms == (x * 0).terms == ()
 
@@ -263,18 +269,28 @@ class TestSeries:
 
 
 class TestEval:
+    """``eval_at_L_power(f, L^-m, grade, floor)`` is the graded evaluator of the
+    motivic-L and Hodge-Deligne rings; ``genfun._ring`` refuses the symbolic model."""
+
     def test_geometric_zeta_value(self):
         # Z_{A^1}(L^-2) = sum L^-n, cutoff 8
         z = geometric_series(M.L, 10)
-        value, dropped = eval_at_L_power(z, m=2, d=1, codim_cutoff=8)
-        expect = MotivicClass.from_laurent(LaurentL.of({-k: 1 for k in range(9)}))
-        assert value == expect
+        value, dropped = eval_at_L_power(z, MotivicClass.lefschetz(-2), dim_grade(1), -8)
+        expect = MotivicClass.coerce(LaurentL.of({-k: 1 for k in range(9)}))
+        assert value == expect and type(value) is MotivicClass
         assert dropped == -9
 
     def test_point_zeta(self):
         z = TruncSeries.from_coeffs([1] * 7)
-        value, _ = eval_at_L_power(z, m=1, d=0, codim_cutoff=6)
-        assert value == MotivicClass.from_laurent(LaurentL.of({-k: 1 for k in range(7)}))
+        value, _ = eval_at_L_power(z, MotivicClass.lefschetz(-1), dim_grade(0), -6)
+        assert value == MotivicClass.coerce(LaurentL.of({-k: 1 for k in range(7)}))
+
+    def test_hodge_zeta_value(self):
+        # Z_{A^1}(t) = sum (uv)^n t^n at t = (uv)^-2, cutoff 4: weight p + q >= -8
+        z = geometric_series(UV, 10)
+        value, dropped = _ring(XModel.affine_space(1), Specialization(HODGE)).evaluate(z, 2, 4)
+        assert value == sum((UV**-k for k in range(5)), UVPoly.zero()) and type(value) is UVPoly
+        assert dropped == -10
 
     def test_divergence(self):
         # the m > d check lives in the evaluation ring that every production call goes through
@@ -283,14 +299,14 @@ class TestEval:
             _ring(XModel.affine_space(1), Specialization()).evaluate(z, 1, 4)
 
     def test_symbolic_rejected(self):
-        z = TruncSeries.from_coeffs([1, MotivicClass.sym(1), 0])
-        with pytest.raises(SymbolicEvaluationError):
-            eval_at_L_power(z, m=2, d=1, codim_cutoff=4)
+        with pytest.raises(SymbolicEvaluationError, match="symmetric-power generators"):
+            _ring(XModel.symbolic(), None)
 
     def test_cutoff_monotone(self):
         z = geometric_series(M.L, 20)
-        small, _ = eval_at_L_power(z, m=2, d=1, codim_cutoff=5)
-        large, _ = eval_at_L_power(z, m=2, d=1, codim_cutoff=9)
+        L_2 = MotivicClass.lefschetz(-2)
+        small, _ = eval_at_L_power(z, L_2, dim_grade(1), -5)
+        large, _ = eval_at_L_power(z, L_2, dim_grade(1), -9)
         trimmed, _ = large.truncated(dim_grade(1), -5)
         assert trimmed == small
 

@@ -202,15 +202,16 @@ def test_adams_scales_both_exponents(a, r):
 # the largest exponents that fit, and the same operations one past them
 L_TOP, L_BOTTOM, S_TOP = 2**14 - 1, -(2**14), 2**15 - 1
 L_, S_, UV_ = MotivicClass.lefschetz, MotivicClass.sym, UVPoly.term
+L_INV = LaurentL.term(1, -1)
 S_1023 = (0,) * 1023
 
 EDGES = {  # name: (what fits, its exponents, what does not fit)
     "L-carry": (lambda: L_(2**13) * L_(2**13 - 1), (L_TOP,), lambda: L_(2**13) * L_(2**13)),
-    "L-borrow": (lambda: LaurentL.term(1, -(2**13)) * L_(-(2**13)), (L_BOTTOM,), lambda: L_(L_BOTTOM) * M.L_INV),
+    "L-borrow": (lambda: LaurentL.term(1, -(2**13)) * L_(-(2**13)), (L_BOTTOM,), lambda: L_(L_BOTTOM) * L_INV),
     "L-of-a-class": (
-        lambda: S_(3) * L_(L_BOTTOM + 1) * M.L_INV,
+        lambda: S_(3) * L_(L_BOTTOM + 1) * L_INV,
         (L_BOTTOM, 0, 0, 1),
-        lambda: (S_(3) * L_(L_BOTTOM)) * (M.L_INV + S_(1)),
+        lambda: (S_(3) * L_(L_BOTTOM)) * (L_INV + S_(1)),
     ),
     "S-carry": (lambda: S_(1, 2**14) * S_(1, 2**14 - 1), (0, S_TOP), lambda: S_(1, 2**14) * S_(1, 2**14)),
     "S-carry-top-slot": (lambda: S_(1023, 2**14) * S_(1023, 2**14 - 1), S_1023 + (S_TOP,), lambda: S_(1023, 2**14) ** 2),

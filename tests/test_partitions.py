@@ -37,7 +37,7 @@ def gens(*names):
 def wbar_by_closure(lam):
     """[wbar_lam] summed over the merge closure itself: the reference for ``wbar_class``."""
     profiles = Counter(map(P.multiplicity_profile, P.merge_closure(lam)))
-    return MotivicClass.combination((n, G.w_class(p)) for p, n in profiles.items())
+    return MotivicClass.dot((n, G.w_class(p)) for p, n in profiles.items())
 
 
 class TestBasics:
