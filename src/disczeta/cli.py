@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_series.add_argument("--s", type=int, default=None, help="number of points (zeta -> Z^[s], symsing)")
     p_series.add_argument("--lambda", dest="lam", default=None, help="generalized partition for zetainv")
     p_series.add_argument("--trunc", type=int, default=12, help="truncation order (default 12)")
-    p_series.add_argument("--guard", type=int, default=G.ZINV_GUARD, help="zetainv guard on sum_{k<=N-|lambda|} p(k), the monomials of the symbolic output")
+    p_series.add_argument("--guard", type=int, default=G.ZINV_GUARD, help="zetainv guard on the symbolic model: sum_{k<=N-|lambda|} p(k), the monomials of its output")
     add_common(p_series)
     p_series.set_defaults(func=cmd_series)
 

@@ -2,7 +2,7 @@
 
 The series built here (all truncated in t):
 
-* ``zeta_series``     -- Z_X(t) = sum [Sym^n X] t^n.
+* ``zeta_series``     -- Z_X(t) = sum [Sym^n X] t^n: ``models.zeta_coeffs`` itself.
 * ``zeta_s_series``   -- Z^[s]_X(t) = sum over partitions with s parts of
   w_lambda t^(sum lambda): configurations supported on exactly s points;
   ``zeta_colored_series`` gives Z^[m], the same over colors of points.
@@ -18,6 +18,8 @@ The series built here (all truncated in t):
 
 One stratum: ``w_class`` is [w_lambda] by multiplicity profile, and the memoized
 ``wbar_class`` sums it over the profile counts of ``partitions.closure_profiles``.
+One grower, ``_joint_profiles``, counts (joint profile, total) for Z^[m] and for
+the members of A_<a(nu) that the K recursion subtracts.
 
 A stable class is lim_j Y_j/[Sym^j X] = E(M^-1) with E = Y/Z_X, so the K, Kbar
 and Sym_s recursions run on E (``k_over_zeta``, ``kbar_over_zeta``,
@@ -58,7 +60,8 @@ from .errors import (
     InternalCheckError,
     SymbolicEvaluationError,
 )
-from .models import COUNT, HODGE, MOTIVIC, Specialization, UVPoly, XModel, zeta_coeffs
+from .models import COUNT, HODGE, MOTIVIC, Specialization, UVPoly, XModel, generalized_binomial
+from .models import zeta_coeffs as zeta_series
 from .motive import (
     GRADING_MULT,
     GRADING_POINTS,
@@ -116,7 +119,7 @@ def _w_profile(profile: tuple[int, ...]) -> MotivicClass:
         for k in range(1, c):
             for pi in pt.enumerate_k_parts(k, c):
                 if sum(pi) == c:
-                    minus[_profile_of_ints(pi)] += 1
+                    minus[pt.multiplicity_profile(pi)] += 1
     else:
         c, rest = profile[-1], profile[:-1]
         head = (_w_profile((c,)), _w_profile(rest))
@@ -162,11 +165,6 @@ def w_of(X: XModel, profile: tuple[int, ...], spec: Specialization | None = None
 # configuration series
 
 
-def zeta_series(X: XModel, N: int, spec: Specialization | None = None) -> TruncSeries:
-    """Z_X(t) truncated at order N."""
-    return zeta_coeffs(X, N, spec)
-
-
 def zeta_s_series(X: XModel, s: int, N: int, spec: Specialization | None = None) -> TruncSeries:
     """Z^[s]_X(t): the locus of Sym^n X supported on exactly s geometric points."""
     if s < 0:
@@ -179,25 +177,27 @@ def zeta_colored_series(X: XModel, m: tuple[int, ...], N: int, spec: Specializat
 
     Each pi_i is an integer partition with exactly s_i parts, the points of
     color i.  Colors are distinct, so the profiles of the pi_i concatenate.
-    Colors are added one at a time to a count of (multiplicity, joint profile).
     """
-    acc = Counter({(0, ()): 1})
-    for s in m:
-        grown: Counter = Counter()
-        for pi in pt.enumerate_k_parts(s, N):
-            size, profile = sum(pi), _profile_of_ints(pi)
-            for (n, joint), count in acc.items():
-                if n + size <= N:
-                    grown[n + size, tuple(sorted(joint + profile, reverse=True))] += count
-        acc = grown
+    colors = (((pt.multiplicity_profile(pi), sum(pi)) for pi in pt.enumerate_k_parts(s, N)) for s in m)
     terms: list = [[] for _ in range(N + 1)]
-    for (n, joint), count in acc.items():
+    for (joint, n), count in _joint_profiles(colors, N).items():
         terms[n].append((count, w_of(X, joint, spec)))
     return TruncSeries.from_coeffs(map(_dot, terms))
 
 
-def _profile_of_ints(lam: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(Counter(lam).values(), reverse=True))
+def _joint_profiles(factors, bound: int) -> Counter:
+    """(joint profile, total) -> in how many ways one (profile, size) is picked from
+    each factor, sizes summing to total <= bound: the profiles, of distinct values,
+    concatenate, and a partial total past ``bound`` is dropped."""
+    acc = Counter({((), 0): 1})
+    for factor in factors:
+        grown: Counter = Counter()
+        for profile, size in factor:
+            for (joint, total), n in acc.items():
+                if total + size <= bound:
+                    grown[tuple(sorted(joint + profile, reverse=True)), total + size] += n
+        acc = grown
+    return acc
 
 
 def k_lt_a_nu(X: XModel, nu, a: int, N: int, spec: Specialization | None = None) -> TruncSeries:
@@ -216,23 +216,17 @@ def k_over_zeta(X: XModel, nu, a: int, N: int, spec: Specialization | None = Non
         raise InputError(f"a must be >= 2, got {a}")
     if any(p < a for p in nu):
         raise InputError(f"all parts of nu must be >= a={a}, got {nu}")
-    return _k_profile(X, spec, _profile_of_ints(nu), a, N)
+    return _k_profile(X, spec, pt.multiplicity_profile(nu), a, N)
 
 
-def _member_counts(profile: tuple[int, ...], a: int) -> Counter:
-    """(multiplicity profile, excess) -> how many members of A_<a(nu), nu of profile ``profile``.
+def _member_counts(profile: tuple[int, ...], a: int, order: int) -> Counter:
+    """(multiplicity profile, excess <= order) -> how many members of A_<a(nu), nu of profile ``profile``.
 
     A member adds a multiset of k in [0, a) to the m copies of each value of nu:
     its profile joins those multisets' profiles, its excess sums all the k."""
-    counts = Counter({((), 0): 1})
-    for m in profile:
-        grown: Counter = Counter()
-        for ks in combinations_with_replacement(range(a), m):
-            split, excess = _profile_of_ints(ks), sum(ks)
-            for (joint, total), n in counts.items():
-                grown[tuple(sorted(joint + split, reverse=True)), total + excess] += n
-        counts = grown
-    return counts
+    splits = (((pt.multiplicity_profile(ks), sum(ks)) for ks in combinations_with_replacement(range(a), m))
+              for m in profile)
+    return _joint_profiles(splits, order)
 
 
 @lru_cache(maxsize=None)
@@ -249,9 +243,7 @@ def _k_profile(X: XModel, spec: Specialization | None, profile: tuple[int, ...],
     base = _k_profile(X, spec, (), a, order)
     den = [0] * (order + 1)
     smaller = []  # (count, excess, K/Z of the finer profile)
-    for (split, excess), n in _member_counts(profile, a).items():
-        if excess > order:
-            continue
+    for (split, excess), n in _member_counts(profile, a, order).items():
         if split == profile:
             den[excess] += n
         else:
@@ -289,7 +281,7 @@ def _kbar_rec(X: XModel, spec: Specialization | None, nu: tuple[int, ...], order
         return TruncSeries.one(order)
     a, rest = nu[0], nu[1:]
     acc = _kbar_rec(X, spec, rest, order + a)
-    groups = Counter((sum(mu) - sum(rest), _profile_of_ints(mu)) for mu in pt.s_set(rest, a))
+    groups = Counter((sum(mu) - sum(rest), pt.multiplicity_profile(mu)) for mu in pt.s_set(rest, a))
     smaller = [(n, e, _k_profile(X, spec, p, a, order + a)) for (e, p), n in groups.items()]
     coeffs = (_dot([(1, c)] + [(-n, K[i - e]) for n, e, K in smaller if e <= i])
               for i, c in enumerate(acc.coeffs))
@@ -354,8 +346,7 @@ def zinv_lambda(
     coeffs: list = [0] * (N_pts + 1)
     for mu in pt.enumerate_Q(N_pts - s0) if N_pts >= s0 else ():
         sign = -1 if pt.q_distinct(mu) % 2 else 1
-        prof = tuple(sorted(base_profile + _profile_of_ints(mu), reverse=True))
-        coeffs[s0 + len(mu)] += sign * w_of(X, prof, spec)
+        coeffs[s0 + len(mu)] += sign * w_of(X, base_profile + pt.multiplicity_profile(mu), spec)
     return TruncSeries.from_coeffs(coeffs, GRADING_POINTS)
 
 
@@ -365,11 +356,11 @@ def zinv_series(
     """``zinv_lambda`` as Z^[m](t) * Z(t)^-1 read by point count, m the profile of lambda.
 
     Only w of |lambda| points enter.  The guard bounds sum_{k <= N_pts-|lambda|} p(k),
-    the monomials of the symbolic answer.
+    the monomials of the answer on the symbolic model; it applies to that model only.
     """
     if N_pts < 0:
         raise InputError("N_pts must be >= 0")
-    profiles = pt.profile_count(N_pts - len(lam), guard)
+    profiles = pt.profile_count(N_pts - len(lam), guard) if X.kind == "symbolic" else 0
     if profiles > guard:
         raise GuardExceeded(f"zetainv to t^{N_pts} needs at least {profiles} multiplicity profiles, guard is {guard}")
     return colored_over_zeta(X, pt.multiplicity_profile(lam), N_pts, spec).regraded(GRADING_POINTS)
@@ -483,7 +474,7 @@ class _HodgeRing(_Ring):
     symbol = "(uv)"
     poly = UVPoly
     scale = 2
-    grade = staticmethod(lambda key: sum(UVPoly.exponents(key)))
+    grade = staticmethod(UVPoly.weight)
 
 
 _RINGS = {MOTIVIC: _MotivicRing, COUNT: _CountRing, HODGE: _HodgeRing}
@@ -664,8 +655,7 @@ def distinct_nu_limit(X: XModel, nu, cutoff: int, spec: Specialization | None = 
     inner_cutoff = cutoff + shift
     order = default_limit_order(inner_cutoff)
     k = len(nu)
-    # (1+t)^-k has coefficients (-1)^n C(n+k-1, n): 1, 0, 0, ... when k = 0
-    binomials = TruncSeries.from_coeffs([1] + [(-1) ** n * math.comb(n + k - 1, n) for n in range(1, order + 1)])
+    binomials = TruncSeries.from_coeffs([generalized_binomial(-k, n) for n in range(order + 1)])  # (1+t)^-k
     E = (k_over_zeta(X, (), 2, order, spec) * binomials).scale(w_of(X, (1,) * k, spec))  # Z(t^2)^-1 = K_(<2)/Z
     ring = _ring(X, spec)
     value, tail = ring.evaluate_at_M(E, inner_cutoff)

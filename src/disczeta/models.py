@@ -16,11 +16,12 @@ values in :class:`UVPoly`, the ``motive.SparsePoly`` core over exponents
 
 from __future__ import annotations
 
+import math
 import re
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import InputError, InternalCheckError, ModelDataError
+from .errors import GuardExceeded, InputError, InternalCheckError, ModelDataError
 from .motive import LaurentL, MotivicClass, SparsePoly, TruncSeries
 from .records import strict
 
@@ -28,6 +29,7 @@ MOTIVIC = "motivic-L"
 COUNT = "count"
 EULER = "euler"
 HODGE = "hodge-deligne"
+PRIME_POWER_GUARD = 10**6  # trial divisions: every q < 10^12 is decided, in about 0.1 s
 
 
 class UVPoly(SparsePoly):
@@ -41,6 +43,10 @@ class UVPoly(SparsePoly):
     @staticmethod
     def term(coeff: int = 1, p: int = 0, q: int = 0) -> "UVPoly":
         return UVPoly.of({(p, q): coeff})
+
+    @staticmethod
+    def weight(key: int) -> int:  # p + q, for the key of u^p v^q
+        return sum(UVPoly.exponents(key))
 
     def __mul__(self, other):
         return SparsePoly.__mul__(self, other)
@@ -109,6 +115,17 @@ UVPoly._unit = UVPoly.key((0, 0))
 UV = UVPoly.term(1, 1, 1)
 
 
+@lru_cache(maxsize=None)  # natural_spec builds a count Specialization at every call
+def _is_prime_power(q: int) -> bool:
+    """Whether q = p^e with p prime and e >= 1: a power of its least divisor p > 1,
+    found by trial division up to sqrt(q) within the guard."""
+    root = math.isqrt(max(q, 0))
+    if root > PRIME_POWER_GUARD and all(q % d for d in range(2, PRIME_POWER_GUARD + 1)):
+        raise GuardExceeded(f"checking that q={q} is a prime power needs {root - 1} trial divisions, guard is {PRIME_POWER_GUARD}")
+    p = next((d for d in range(2, root + 1) if q % d == 0), q)
+    return q >= 2 and any(p**e == q for e in range(1, q.bit_length()))
+
+
 class _SpecFields(NamedTuple):
     target: str = MOTIVIC
     q: int | None = None
@@ -123,7 +140,7 @@ class Specialization(_SpecFields):
     def __new__(cls, target: str = MOTIVIC, q: int | None = None):
         if target not in (MOTIVIC, COUNT, EULER, HODGE):
             raise InputError(f"unknown specialization target {target!r}")
-        if target == COUNT and q is not None and q < 2:
+        if target == COUNT and q is not None and not _is_prime_power(q):
             raise InputError("count specialization needs a prime power q >= 2")
         return super().__new__(cls, target, q)
 
@@ -149,12 +166,7 @@ def generalized_binomial(a: int, k: int) -> int:
     """Binomial coefficient C(a, k) for any integer a, k >= 0."""
     if k < 0:
         raise InputError("k must be >= 0")
-    num = 1
-    for i in range(k):
-        num *= a - i
-    den = 1
-    for i in range(2, k + 1):
-        den *= i
+    num, den = math.prod(range(a - k + 1, a + 1)), math.factorial(k)  # a (a-1) ... (a-k+1) and k!
     if num % den:
         raise InternalCheckError("binomial product not divisible by k!")
     return num // den
@@ -194,8 +206,8 @@ class XModel(NamedTuple):
     def point_counts(q: int, counts=None, dim: int = 1) -> "XModel":
         """Counts N_r = #X(F_{q^r}).  ``counts=None`` means the affine-line
         default N_r = q^r; otherwise supply N_1..N_R explicitly."""
-        if q < 2:
-            raise InputError("q must be at least 2")
+        if not _is_prime_power(q):
+            raise InputError("a point-count model needs a prime power q >= 2")
         ctuple = None if counts is None else tuple(int(n) for n in counts)
         if ctuple is not None and any(n < 0 for n in ctuple):
             raise InputError("point counts must be nonnegative")
@@ -209,7 +221,7 @@ class XModel(NamedTuple):
     def hodge_deligne(e, dim: int | None = None) -> "XModel":
         poly = UVPoly.parse(e) if isinstance(e, str) else e
         if dim is None:
-            w = poly.degree(lambda key: sum(UVPoly.exponents(key)))  # the weight p + q of u^p v^q
+            w = poly.degree(UVPoly.weight)
             dim = 0 if w == float("-inf") else (int(w) + 1) // 2
         return XModel("hd", dim, (poly,))
 
@@ -307,7 +319,7 @@ def _sym(model: XModel, n: int, spec: Specialization):
         if t not in (HODGE, EULER):
             raise InputError("a Hodge-Deligne model supports hodge-deligne or euler targets")
     else:  # affine and projective space: Laurent classes in L
-        lau = LaurentL.term(1, model.dim * n) if model.kind == "affine" else _proj_space_sym(model.dim, n)
+        lau = LaurentL.term(1, model.dim * n) if model.kind == "affine" else _proj_space_syms(model.dim, n)[model.dim]
         image = model.L_image(spec)
         return lau if image is None else lau.substitute(image)
     sym = _power_sum_sym(model, n)
@@ -327,10 +339,6 @@ def _proj_space_syms(m: int, n: int) -> tuple:
     for i in range(1, m + 1):
         row.append(row[-1] + LaurentL.term(1, i) * below[i])
     return tuple(row)
-
-
-def _proj_space_sym(m: int, n: int) -> LaurentL:
-    return _proj_space_syms(m, n)[m]
 
 
 def _model_counts(model: XModel, r: int) -> int:
@@ -356,7 +364,7 @@ def _power_sum_sym(model: XModel, n: int):
     or imply a negative number of closed points; for the other two models a
     fractional s_n is an internal fault."""
     if n == 0:
-        return UVPoly.from_int(1) if model.kind == "hd" else 1
+        return UVPoly.one() if model.kind == "hd" else 1
     for k in range(1, n):  # rows in increasing n, so that no call recurses more than one deep
         _power_sum_sym(model, k)
     acc = sum(_power_sum(model, r) * _power_sum_sym(model, n - r) for r in range(1, n + 1))

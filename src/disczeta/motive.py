@@ -131,10 +131,6 @@ class SparsePoly:
         return cls({cls.key(k): v for k, v in mapping.items() if v})
 
     @classmethod
-    def from_int(cls, n: int):
-        return cls({cls._unit: n} if n else {})
-
-    @classmethod
     def one(cls):
         return cls({cls._unit: 1})
 

@@ -1,10 +1,11 @@
 """Independent brute-force ground truth.
 
-Everything here is exhaustive and exact: finite fields built from explicit
-irreducible moduli, polynomial enumeration, configurations of closed points
-on A^1 and P^1, and integer sieves.  Nothing is shared with the
-generating-function engine, so agreement between the two is meaningful
-evidence.
+Everything here is exhaustive and exact: finite fields (tables from this
+module's ``poly_mul`` and ``poly_divmod`` over the prime field), polynomial
+enumeration, configurations of closed points on A^1 and P^1, and integer
+sieves.  Nothing is shared with the generating-function engine (this module
+imports only ``errors``; only ``cli`` and ``verify`` import it), so agreement
+between the two is meaningful evidence.
 
 One multiplication kernel, ``_mark_multiples``, adds a weight at the code of
 g*h for every monic h of a degree; each step changes one coefficient of h,
@@ -47,33 +48,6 @@ def _check_guard(states: int, guard: int, unit: str = "states") -> None:
 # finite fields F_{p^k}, elements encoded as integers 0..q-1 (base-p digits)
 
 
-def _fp_poly_mul(a: tuple, b: tuple, p: int) -> tuple:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _fp_poly_mod(a: tuple, m: tuple, p: int) -> tuple:
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        shift = len(a) - 1 - dm
-        c = a[-1]
-        for i, y in enumerate(m):
-            a[shift + i] = (a[shift + i] - c * y) % p
-        while len(a) > 1 and a[-1] == 0:
-            a.pop()
-    return tuple(a)
-
-
 @lru_cache(maxsize=None)
 def _modulus(p: int, k: int) -> tuple:
     """Deterministic irreducible modulus of degree k over F_p: the monic
@@ -87,27 +61,27 @@ class FiniteField:
     """F_q with q = p^k <= 64, with dense add/mul/inv tables.
 
     Elements are integers 0..q-1; the base-p digits are the coefficients of
-    the residue polynomial, so 0..p-1 are the prime-field scalars.
+    the residue polynomial, so 0..p-1 are the prime-field scalars.  Addition is
+    digitwise mod p; F_p multiplies as a * b % p, and F_{p^k} by ``poly_mul`` and
+    ``poly_divmod`` over ``field(p)`` modulo the irreducible ``_modulus(p, k)``.
     """
 
     def __init__(self, q: int):
-        p, k = _factor_prime_power(q)
-        if q > 64:
+        if q > 64:  # before factoring, which tries every divisor up to q
             raise InputError(f"finite fields only built for q <= 64, got {q}")
+        p, k = _factor_prime_power(q)
         self.q = q
         self.p = p
         self.k = k
         self.modulus = _modulus(p, k)
-        self._mul = [[0] * q for _ in range(q)]
-        self._add = [[0] * q for _ in range(q)]
-        for a in range(q):
-            pa = self._decode(a)
-            for b in range(a, q):
-                pb = self._decode(b)
-                s = tuple((x + y) % p for x, y in itertools.zip_longest(pa, pb, fillvalue=0))
-                m = _fp_poly_mod(_fp_poly_mul(pa, pb, p), self.modulus, p)
-                self._add[a][b] = self._add[b][a] = self._encode(s)
-                self._mul[a][b] = self._mul[b][a] = self._encode(m)
+        digits = [self._decode(a) for a in range(q)]
+        self._add = [[self._encode((x + y) % p for x, y in zip(u, v)) for v in digits] for u in digits]
+        if k == 1:
+            self._mul = [[a * b % p for b in range(q)] for a in range(q)]
+        else:
+            Fp, polys = field(p), [poly_trim(u) for u in digits]
+            self._mul = [[self._encode(poly_divmod(Fp, poly_mul(Fp, x, y), self.modulus)[1]) for y in polys]
+                         for x in polys]
         self._inv = [0] + [row.index(1) for row in self._mul[1:]]
         self._neg = [row.index(0) for row in self._add]
         self._sub = [[self._add[a][self._neg[b]] for b in range(q)] for a in range(q)]
@@ -115,7 +89,7 @@ class FiniteField:
     def _decode(self, a: int) -> tuple:
         return tuple((a // self.p**i) % self.p for i in range(self.k))
 
-    def _encode(self, poly: tuple) -> int:
+    def _encode(self, poly) -> int:
         return sum(c * self.p**i for i, c in enumerate(poly))
 
     def add(self, a: int, b: int) -> int:
@@ -147,15 +121,9 @@ class FiniteField:
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
-    for p in range(2, q + 1):
-        if q % p == 0:  # the least divisor > 1 is prime
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m != 1:
-                raise InputError(f"{q} is not a prime power")
+    p = next((d for d in range(2, q + 1) if q % d == 0), 0)  # the least divisor > 1 is prime
+    for k in range(1, q.bit_length()):
+        if p**k == q:
             return p, k
     raise InputError(f"{q} is not a prime power")
 

@@ -9,6 +9,8 @@ The merge closure of lambda is the block-sum multisets over the set
 partitions of its parts.  One pass builds them (``_block_multisets``) for the
 closed strata [wbar_lambda] (``closure_profiles``, on packed parts) and for
 ``s_set`` (on integer parts); ``merge_closure`` is the tests' reference route.
+``multiplicity_profile`` is the one profile routine, for parts, ints or packed
+block sums alike.
 
 All values are immutable and all functions are pure; the module-level memo
 caches are only ever written idempotently, so concurrent use is safe.
@@ -206,13 +208,13 @@ def int_partition(values: Iterable[int]) -> tuple[int, ...]:
     return vals
 
 
-def multiplicity_profile(lam: GenPartition) -> tuple[int, ...]:
-    """Multiplicities of the distinct part values, weakly decreasing.
+def multiplicity_profile(values: Iterable) -> tuple[int, ...]:
+    """Multiplicities of the distinct values, weakly decreasing.
 
-    m([a,a,b]) = (2, 1); the profile of the empty partition is ().
+    The values are any hashables: the parts of a ``GenPartition``, ints, or
+    packed block sums.  m([a,a,b]) = (2, 1); the profile of no values is ().
     """
-    counts = [len(list(g)) for _, g in itertools.groupby(lam.parts)]
-    return tuple(sorted(counts, reverse=True))
+    return tuple(sorted(Counter(values).values(), reverse=True))
 
 
 def is_formalization(lam: GenPartition) -> bool:
@@ -307,7 +309,7 @@ def closure_profiles(lam: GenPartition) -> Counter:
     width = sum(c for p in lam.parts for _, c in p.coeffs).bit_length()
     slot = {g: i * width for i, g in enumerate(sorted({g for p in lam.parts for g, _ in p.coeffs}))}
     packed = [sum(c << slot[g] for g, c in p.coeffs) for p in lam.parts]
-    return Counter(tuple(sorted(Counter(s).values(), reverse=True)) for s in _block_multisets(packed))
+    return Counter(map(multiplicity_profile, _block_multisets(packed)))
 
 
 def _block_sums(parts: tuple[int, ...], a: int, budget: int) -> set[tuple[int, ...]]:

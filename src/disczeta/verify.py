@@ -60,7 +60,7 @@ def check_sym_s_stratification() -> dict:
 
 
 def check_oracle_configurations() -> dict:
-    """count_w_lambda == specialized w_class for sum(lambda) <= 5, and the
+    """count_w_lambda == specialized w_lambda for sum(lambda) <= 5, and the
     K_(<2)nu coefficients match enumeration for small nu and j."""
     failures = []
     spaces = {"A1": XModel.affine_space(1), "P1": XModel.proj_line()}
@@ -70,7 +70,7 @@ def check_oracle_configurations() -> dict:
             for total in range(6):
                 for lam in _partitions_of(total):
                     got = O.count_w_lambda(name, q, lam)
-                    expect = xm.specialize(G.w_class(GenPartition.integers(lam)), spec)
+                    expect = G.w_of(xm, pt.multiplicity_profile(lam), spec)
                     if got != expect:
                         failures.append(f"w_{lam} on {name}, q={q}: {got} != {expect}")
     for q in (2, 3):

@@ -90,7 +90,7 @@ def zinv_by_profiles(X, lam: GenPartition, N_pts: int, spec=None) -> TruncSeries
     terms: list = [[] for _ in range(N_pts + 1)]  # the (n, w) pairs of each coefficient
     for m in range(N_pts - s0 + 1):
         for pi in pt.enumerate_k_parts(m, N_pts - s0):
-            orderings = math.factorial(m) // math.prod(map(math.factorial, G._profile_of_ints(pi)))
+            orderings = math.factorial(m) // math.prod(map(math.factorial, pt.multiplicity_profile(pi)))
             terms[s0 + sum(pi)].append(((-1) ** m * orderings, G.w_of(X, base_profile + pi, spec)))
     return TruncSeries.from_coeffs(map(_dot, terms), GRADING_POINTS)
 
@@ -105,9 +105,7 @@ def k_profile_y(X, spec, profile: tuple[int, ...], a: int, order: int) -> TruncS
         return base
     den = [0] * (order + 1)
     smaller = []  # (count, excess, K of the finer profile)
-    for (split, excess), n in G._member_counts(profile, a).items():
-        if excess > order:
-            continue
+    for (split, excess), n in G._member_counts(profile, a, order).items():
         if split == profile:
             den[excess] += n
         else:
@@ -126,7 +124,7 @@ def kbar_y(X, spec, nu: tuple[int, ...], order: int) -> TruncSeries:
     a, rest = nu[0], nu[1:]
     acc = kbar_y(X, spec, rest, order + a)
     for mu in sorted(pt.s_set(rest, a)):
-        K = k_profile_y(X, spec, G._profile_of_ints(mu), a, order + a)
+        K = k_profile_y(X, spec, pt.multiplicity_profile(mu), a, order + a)
         acc = acc - K.shift_up(sum(mu) - sum(rest))
     return acc.shift_down(a)
 

@@ -317,6 +317,16 @@ SERIES_K_ROWS = [
 SERIES_K_PARAMS = '{"X": "symbolic(dim=1)", "a": 2, "kind": "k", "nu": "2", "spec": "motivic-L", "trunc": 4}'
 
 
+@pytest.mark.parametrize("model", [["--X", "P1", "--spec", "count:q=3", "--trunc", "26"],
+                                   ["--X", "P2", "--spec", "hodge-deligne", "--trunc", "30"]])
+def test_zetainv_guard_spares_specialized_models(capsys, model):
+    # the guard counts the monomials of a symbolic answer; a specialized one has none of them
+    assert cli.main(["series", "zetainv", *model]) == 0
+    unguarded = capsys.readouterr().out
+    assert cli.main(["series", "zetainv", *model, "--guard", "1000000000"]) == 0
+    assert capsys.readouterr().out == unguarded
+
+
 def test_series_renders_each_coefficient_once(capsys, monkeypatch):
     from disczeta.motive import SparsePoly
 

@@ -77,6 +77,15 @@ EDGE_CASES = (
     "hyper --d 1 --s 1 --cutoff 4",
     "hyper --d 1 --s 1 --ordered --cutoff 4",
     "hyper --d 1 --multi 2 --cutoff 4",
+    "series zeta --X counts:q=3 --spec count:q=5 --trunc 3",
+    "series zeta --X symbolic --spec hodge-deligne --trunc 3",
+    "series k --X P1 --spec count --trunc 3",
+    "series zeta --X euler:2 --spec count:q=3 --trunc 3",
+    "series zeta --X hd:1+uv --spec count:q=2 --trunc 3",
+    "hyper --X hd:1+uv --d 1 --s 1 --spec euler --cutoff 3",
+    "limit --of distinctnu --nu 2,3,4 --X A^1 --spec count:q=3 --cutoff 6",
+    "hyper --X P1 --d 1 --s 1 --spec count:q=6 --cutoff 3",
+    "series zeta --X counts:q=6 --trunc 3",
 )
 
 COMMANDS = list(SLOTS + EDGE_CASES) + [c + " --csv" for c in SLOTS + EDGE_CASES if c != "verify"]  # verify has no CSV

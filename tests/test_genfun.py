@@ -250,7 +250,11 @@ class TestKSeries:
             expect = Counter(
                 (pt.multiplicity_profile(m), sum(p.coeff(pt.UNIT) for p in m)) for m, _ in members
             )
-            assert G._member_counts(profile, a) == expect, profile
+            assert G._member_counts(profile, a, (a - 1) * sum(profile)) == expect, profile
+            # a smaller order keeps exactly the members whose excess is <= order
+            order = (a - 1) * sum(profile) // 2
+            kept = Counter({key: n for key, n in expect.items() if key[1] <= order})
+            assert G._member_counts(profile, a, order) == kept, profile
 
     def test_repeated_nu_profile(self):
         # nu = [2,2] exercises the recursion into a strictly smaller profile
@@ -620,7 +624,7 @@ def test_e_routes_match_y_references(X, spec):
     for a in (2, 3):
         assert G.k_over_zeta(X, (), a, n, spec) == Z.compose_power(a).inverse(), a  # (Z^-1)(t^a)
         for nu in [(), (a,), (a, a), (a, a + 1, a + 1), (a,) * 4, (a, a + 1, a + 2, a + 2)]:
-            Y = k_profile_y(X, spec, G._profile_of_ints(nu), a, n)
+            Y = k_profile_y(X, spec, pt.multiplicity_profile(nu), a, n)
             assert G.k_lt_a_nu(X, nu, a, n, spec) == Y, (a, nu)
             assert G.k_over_zeta(X, nu, a, n, spec) == Y * Zinv, (a, nu)
     for nu in [(2,), (3,), (2, 2), (2, 3), (2, 2, 3), (3, 3, 4), (2, 2, 2, 2), (2, 3, 3, 4)]:

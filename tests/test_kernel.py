@@ -195,7 +195,7 @@ def proj_space_sym_by_products(m: int, n: int) -> LaurentL:
 @pytest.mark.parametrize("m", range(5))
 def test_proj_space_recurrence_matches_the_product_formula(m):
     for n in range(21):
-        assert Mo._proj_space_sym(m, n) == proj_space_sym_by_products(m, n), (m, n)
+        assert Mo._proj_space_syms(m, n)[m] == proj_space_sym_by_products(m, n), (m, n)
 
 
 def test_projline_is_proj_space_one():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from chains import parse_model_chain, parse_spec_chain
 from disczeta import genfun as G
 from disczeta import models as Mo
-from disczeta.errors import InputError, ModelDataError
+from disczeta.errors import GuardExceeded, InputError, ModelDataError
 from disczeta.motive import LaurentL, MotivicClass
 from disczeta.models import COUNT, EULER, HODGE, MOTIVIC, Specialization, UVPoly, XModel
 
@@ -26,6 +26,19 @@ class TestSymClasses:
     def test_point_counts_affine_quadratics(self):
         X = XModel.point_counts(2)  # monic polynomials over F_2
         assert X.sym(2) == 4
+
+    @pytest.mark.parametrize("q", [0, 1, 6, 12, 15, 100])
+    def test_count_needs_a_prime_power(self, q):
+        with pytest.raises(InputError, match="prime power"):
+            Specialization(COUNT, q)
+        with pytest.raises(InputError, match="prime power"):
+            XModel.point_counts(q)
+
+    def test_prime_power_check_is_guarded(self):
+        # 2^61 - 1 is prime, with no divisor up to the guard; 2^61 has one
+        with pytest.raises(GuardExceeded, match="1518500248 trial divisions"):
+            Specialization(COUNT, 2**61 - 1)
+        assert XModel.point_counts(2**61).sym(1) == 2**61
 
     def test_counts_geometric(self):
         X = XModel.point_counts(3)
@@ -302,7 +315,7 @@ class TestUVPoly:
     @given(uvpolys(), st.integers(min_value=0, max_value=3))
     @settings(max_examples=30)
     def test_powers(self, a, n):
-        expect = UVPoly.from_int(1)
+        expect = UVPoly.one()
         for _ in range(n):
             expect = expect * a
         assert a**n == expect

@@ -1,6 +1,9 @@
+import ast
 import itertools
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +13,33 @@ from disczeta import partitions as pt
 from disczeta.errors import GuardExceeded, InputError, InternalCheckError, ModelDataError
 from disczeta.models import COUNT, Specialization, XModel
 from disczeta.partitions import GenPartition
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "disczeta"
+
+# every prime power q <= 64
+PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49, 53, 59, 61, 64)
+
+
+def _imports(path: Path) -> tuple[set, set]:
+    """(modules of the package, top-level names of other modules) that a source file imports."""
+    package, other = set(), set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            other.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            package.update([node.module.partition(".")[0]] if node.module else (a.name for a in node.names))
+        elif isinstance(node, ast.ImportFrom):
+            other.add(node.module.partition(".")[0])
+    return package, other
+
+
+def test_the_oracle_shares_no_code_with_the_engine():
+    imports = {path.stem: _imports(path) for path in SRC.glob("*.py")}
+    package, other = imports["oracle"]
+    assert package == {"errors"}
+    assert other <= sys.stdlib_module_names
+    assert {name for name, (package, _) in imports.items() if "oracle" in package} == {"cli", "verify"}
 
 
 class TestFiniteField:
@@ -59,6 +89,35 @@ class TestFiniteField:
     def test_not_prime_power(self):
         with pytest.raises(InputError):
             O.field(6)
+        with pytest.raises(InputError, match="q <= 64"):  # at once, not after trying 10^9 divisors
+            O.field(10**9 + 7)
+
+    @pytest.mark.parametrize("q", PRIME_POWERS)
+    def test_tables_match_schoolbook_arithmetic(self, q):
+        # base-p digit vectors added mod p, and multiplied mod p then reduced by the monic modulus
+        F = O.field(q)
+        p, m = F.p, F.modulus
+        k = len(m) - 1
+
+        def digits(a):
+            return [a // p**i % p for i in range(k)]
+
+        def code(v):
+            return sum(c * p**i for i, c in enumerate(v))
+
+        def times(a, b):
+            prod = [0] * (2 * k - 1)
+            for i, x in enumerate(digits(a)):
+                for j, y in enumerate(digits(b)):
+                    prod[i + j] = (prod[i + j] + x * y) % p
+            for top in range(2 * k - 2, k - 1, -1):  # subtract prod[top] x^(top-k) m
+                c = prod[top]
+                for i, y in enumerate(m):
+                    prod[top - k + i] = (prod[top - k + i] - c * y) % p
+            return code(prod[:k])
+
+        assert F._add == [[code((x + y) % p for x, y in zip(digits(a), digits(b))) for b in range(q)] for a in range(q)]
+        assert F._mul == [[times(a, b) for b in range(q)] for a in range(q)]
 
 
 class TestPolynomials:

@@ -41,17 +41,25 @@ def wbar_by_closure(lam):
 
 
 class TestBasics:
+    # each profile from a GenPartition, its int values, and packed ints (x in bits 0-7, y in bits 8-15)
     def test_multiplicity_profile_aab(self):
         lam = gens("a", "a", "b")
         assert P.multiplicity_profile(lam) == (2, 1)
+        assert P.multiplicity_profile((5, 5, 3)) == (2, 1)
+        assert P.multiplicity_profile((1 << 8, 1, 1 << 8)) == (2, 1)
 
     def test_multiplicity_profile_empty(self):
         assert P.multiplicity_profile(GenPartition.empty()) == ()
+        assert P.multiplicity_profile(()) == ()
 
     def test_multiplicity_profile_big(self):
         # 1^3 2^3 3 4^2 5 has m = [3,3,1,2,1], sorted to (3,3,2,1,1)
-        lam = gp(1, 1, 1, 2, 2, 2, 3, 4, 4, 5)
-        assert P.multiplicity_profile(lam) == (3, 3, 2, 1, 1)
+        values = (1, 1, 1, 2, 2, 2, 3, 4, 4, 5)
+        assert P.multiplicity_profile(gp(*values)) == (3, 3, 2, 1, 1)
+        assert P.multiplicity_profile(values) == (3, 3, 2, 1, 1)
+        # 2x+y and x+2y pack to distinct ints with the same coefficient sum
+        packed = (2 + (1 << 8), 2 + (1 << 8), 1 + (2 << 8), 3, 3, 3, 1 + (2 << 8), 2 + (1 << 8), 1 << 8, 3 << 8)
+        assert P.multiplicity_profile(packed) == (3, 3, 2, 1, 1)
 
 
 class TestFormalize:
