@@ -19,8 +19,8 @@ infinity on P^1.  The gcd routes (``squarefree_decomposition``,
 ``is_squarefree``) stay as the reference the tests hold the sieves to.
 
 Enumerations refuse to start when the state space exceeds the guard
-(default 10^7 states) rather than truncating silently; the guard also
-bounds the sieve's table.
+(default 10^7 states) rather than truncating silently.  The integer
+sieve holds O(sqrt(bound)) bytes, so its guard bounds time.
 """
 
 from __future__ import annotations
@@ -447,12 +447,14 @@ def _primes_up_to(n: int) -> list[int]:
         return []
     sieve = bytearray([1]) * (n + 1)
     sieve[0:2] = b"\x00\x00"
-    out = []
-    for p in range(2, n + 1):
+    for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
-            out.append(p)
-            sieve[p * p :: p] = b"\x00" * len(sieve[p * p :: p])
-    return out
+            sieve[p * p :: p] = bytearray(len(range(p * p, n + 1, p)))
+    return list(itertools.compress(range(n + 1), sieve))
+
+
+def _sieve_window(bound: int) -> int:
+    return max(2**15, 64 * math.isqrt(bound))
 
 
 def integer_power_density(a: int, b: int, r: int, bound: int, guard: int = MAX_GUARD) -> Fraction:
@@ -460,32 +462,53 @@ def integer_power_density(a: int, b: int, r: int, bound: int, guard: int = MAX_G
     some integers c_i > 1.
 
     It suffices to take the c_i prime; colliding primes multiply into higher
-    prime powers, which the direct product already accounts for.
+    prime powers, which the direct product already accounts for.  A segmented
+    sieve marks their multiples in windows of ``_sieve_window(bound)`` = O(sqrt(bound))
+    bytes, a modulus past the window hit by hit from the bucket of its next window.
     """
     if not (2 <= a <= b) or r < 0:
         raise InputError(f"need 2 <= a <= b and r >= 0, got a={a}, b={b}, r={r}")
     if bound < 1 or bound > 10**8:
         raise InputError("bound must be between 1 and 10^8")
     _check_guard(bound, guard)
-    marked = bytearray(bound + 1)
     primes = _primes_up_to(int(round(bound ** (1.0 / a))) + 2)
+    moduli = set()
 
-    def mark_tuples(base: int, remaining: int, min_prime_idx: int) -> None:
+    def collect(base: int, remaining: int, min_prime_idx: int) -> None:
         if remaining == 0:
-            marked[base::base] = b"\x01" * (bound // base)
+            moduli.add(base)
             return
         for idx in range(min_prime_idx, len(primes)):
             nxt = base * primes[idx] ** b
             if nxt > bound:
                 break
-            mark_tuples(nxt, remaining - 1, idx)
+            collect(nxt, remaining - 1, idx)
 
     for p in primes:
-        pa = p**a
-        if pa > bound:
+        if p**a > bound:
             break
-        mark_tuples(pa, r, 0)
-    return Fraction(marked.count(1), bound)
+        collect(p**a, r, 0)
+    window = _sieve_window(bound)
+    # ceil(window / m) marks from an offset j < m reach up to m - 1 bytes past the window
+    small = [(m, bytearray(b"\x01") * -(-window // m)) for m in sorted(moduli) if m <= window]
+    buckets = [[] for _ in range(-(-bound // window))]
+    for m in moduli:
+        if m > window:
+            buckets[(m - 1) // window].append(m)
+    marked = bytearray(window + (small[-1][0] if small else 0))
+    hits = 0
+    for lo, bucket in zip(range(0, bound, window), buckets):  # marked[i] stands for n = lo + 1 + i
+        marked[:window] = bytearray(window)
+        for m, ones in small:
+            j = m - 1 - lo % m
+            marked[j : j + m * len(ones) : m] = ones
+        for m in bucket:
+            n = lo + m - lo % m
+            marked[n - lo - 1] = 1
+            if n + m <= bound:
+                buckets[(n + m - 1) // window].append(m)
+        hits += marked.count(1, 0, min(window, bound - lo))
+    return Fraction(hits, bound)
 
 
 def _pairwise_sum(terms, add=operator.add, zero=Fraction(0)):
@@ -501,30 +524,34 @@ def _pairwise_sum(terms, add=operator.add, zero=Fraction(0)):
     return reduce(add, partials, zero)
 
 
-def zeta_value(s: int, terms: int = 10**4) -> tuple[Fraction, Fraction]:
-    """(truncated sum of n^-s, tail bound).
+def zeta_values(exponents: tuple[int, ...], terms: int = 10**4) -> dict[int, tuple[Fraction, Fraction]]:
+    """{s: (truncated sum of n^-s, tail bound)} for each s in exponents.
 
-    Blocks of 16 terms are summed over their common denominator lcm(block)^s and
-    merged pairwise as unreduced pairs (numerator, root) standing for
-    numerator / root^s: two roots combine to their lcm through a gcd of the roots
-    alone, and the one reduction is the Fraction built at the end.
+    Blocks of 16 terms are summed over lcm(block)^s and merged pairwise as unreduced
+    pairs (numerators, root) for numerator_s / root^s: roots combine to their lcm
+    through one gcd for every s, and each s is reduced once, in the final Fraction.
     """
-    if s < 2:
-        raise InputError("zeta_value needs s >= 2")
+    if min(exponents) < 2 or terms < 1:
+        raise InputError(f"zeta_value needs s >= 2 and terms >= 1, got s in {exponents}, terms={terms}")
 
     def merge(x, y):  # over lcm(r, r') = r * (r' / g) = r' * (r / g), with g = gcd(r, r')
         g = math.gcd(x[1], y[1])
         up_x, up_y = y[1] // g, x[1] // g
-        return x[0] * up_x**s + y[0] * up_y**s, x[1] * up_x
+        return tuple(u * up_x**s + v * up_y**s for u, v, s in zip(x[0], y[0], exponents)), x[1] * up_x
 
     def block_sums():
         for start in range(1, terms + 1, 16):
             block = range(start, min(start + 16, terms + 1))
             root = math.lcm(*block)
-            yield sum((root // n) ** s for n in block), root
+            yield tuple(sum((root // n) ** s for n in block) for s in exponents), root
 
-    numerator, root = _pairwise_sum(block_sums(), merge, (0, 1))
-    return Fraction(numerator, root**s), Fraction(1, (s - 1) * terms ** (s - 1))
+    numerators, root = _pairwise_sum(block_sums(), merge, ((0,) * len(exponents), 1))
+    return {s: (Fraction(x, root**s), Fraction(1, (s - 1) * terms ** (s - 1))) for s, x in zip(exponents, numerators)}
+
+
+def zeta_value(s: int, terms: int = 10**4) -> tuple[Fraction, Fraction]:
+    """(truncated sum of n^-s, tail bound), from ``zeta_values``."""
+    return zeta_values((s,), terms)[s]
 
 
 def power_density_prediction(a: int, b: int, r: int, prime_bound: int = 10**5, guard: int = DEFAULT_GUARD) -> dict:
@@ -559,7 +586,7 @@ def power_density_prediction(a: int, b: int, r: int, prime_bound: int = 10**5, g
         return _pairwise_sum(rec(0, 0, Fraction(1)))
 
     za, za_tail = zeta_value(a)
-    zb, zb_tail = zeta_value(b)
+    zb, zb_tail = (za, za_tail) if b == a else zeta_value(b)
     middle = sum((multi_prime_sum(i) for i in range(r)), Fraction(0))
     value = 1 - middle / zb - multi_prime_sum(r) / za
     tail = Fraction(1, prime_bound ** (b - 1)) * (r + 1) + za_tail + zb_tail

@@ -228,16 +228,14 @@ def check_integer_analog() -> dict:
     """Sieved at-least-square / at-least-cube densities vs 1 - 1/zeta."""
     bound = 10**6
     tol = Fraction(5, 1000)
-    z2, _ = O.zeta_value(2)
-    z3, _ = O.zeta_value(3)
+    zetas = O.zeta_values((2, 3))
+    l2, l3 = (1 - 1 / zetas[s][0] for s in (2, 3))
     d2 = O.integer_power_density(2, 2, 0, bound)
     d3 = O.integer_power_density(3, 3, 0, bound)
-    ok2 = abs(d2 - (1 - 1 / z2)) < tol
-    ok3 = abs(d3 - (1 - 1 / z3)) < tol
     return _result(
         "integer-analog",
-        ok2 and ok3,
-        f"square {float(d2):.5f} vs {float(1 - 1 / z2):.5f}, cube {float(d3):.5f} vs {float(1 - 1 / z3):.5f}",
+        abs(d2 - l2) < tol and abs(d3 - l3) < tol,
+        f"square {float(d2):.5f} vs {float(l2):.5f}, cube {float(d3):.5f} vs {float(l3):.5f}",
     )
 
 

@@ -2,6 +2,7 @@ import ast
 import itertools
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -494,6 +495,104 @@ class TestIntegerDensity:
         pred = O.power_density_prediction(2, 2, 1)
         emp = O.integer_power_density(2, 2, 1, 10**6)
         assert abs(pred["value"] - emp) < Fraction(5, 10**3)
+
+
+def _whole_array_density(a, b, r, bound):
+    """integer_power_density with one table byte per integer n <= bound: the reference."""
+    marked = bytearray(bound + 1)
+    primes = _primes_by_trial_loop(int(round(bound ** (1.0 / a))) + 2)
+
+    def mark_tuples(base, remaining, min_prime_idx):
+        if remaining == 0:
+            marked[base::base] = b"\x01" * (bound // base)
+            return
+        for idx in range(min_prime_idx, len(primes)):
+            nxt = base * primes[idx] ** b
+            if nxt > bound:
+                break
+            mark_tuples(nxt, remaining - 1, idx)
+
+    for p in primes:
+        if p**a > bound:
+            break
+        mark_tuples(p**a, r, 0)
+    return Fraction(marked.count(1), bound)
+
+
+def _primes_by_trial_loop(n):
+    """Primes up to n, every n visited in Python: the reference for _primes_up_to."""
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0:2] = b"\x00\x00"
+    out = []
+    for p in range(2, n + 1):
+        if sieve[p]:
+            out.append(p)
+            sieve[p * p :: p] = b"\x00" * len(sieve[p * p :: p])
+    return out
+
+
+# the sieve's window below 512^2, where it is its floor; the bounds straddle window edges
+WINDOW = O._sieve_window(1)
+WINDOW_BOUNDS = (1, 2, WINDOW - 1, WINDOW, WINDOW + 1, 3 * WINDOW + 17)
+
+
+class TestSegmentedSieve:
+    def test_bounds_share_one_window(self):
+        assert {O._sieve_window(bound) for bound in WINDOW_BOUNDS} == {WINDOW}
+
+    @pytest.mark.parametrize("a,b,r", [(2, 2, 0), (3, 3, 0), (2, 3, 1), (2, 2, 2), (3, 4, 1)])
+    @pytest.mark.parametrize("bound", WINDOW_BOUNDS)
+    def test_matches_the_whole_array_sieve(self, a, b, r, bound):
+        assert O.integer_power_density(a, b, r, bound) == _whole_array_density(a, b, r, bound)
+
+    def test_counts_a_bucketed_hit_at_the_bound(self):
+        # 191^2 is past the window, so its second multiple, the bound, comes from a bucket
+        bound = 2 * 191**2
+        assert 191**2 > O._sieve_window(bound)
+        assert O.integer_power_density(2, 2, 0, bound) == _whole_array_density(2, 2, 0, bound)
+
+    @pytest.mark.parametrize("a,b,r", [(2, 2, 0), (2, 2, 1)])
+    def test_matches_the_whole_array_sieve_past_the_floor_window(self, a, b, r):
+        bound = 10**6 + 1
+        assert O._sieve_window(bound) > WINDOW
+        assert O.integer_power_density(a, b, r, bound) == _whole_array_density(a, b, r, bound)
+
+    @pytest.mark.parametrize("bound,limit", [(10**6, 256 * 1024), (10**7, 1024 * 1024)])
+    def test_memory_grows_with_the_square_root_of_the_bound(self, bound, limit):
+        # the whole-array sieve peaks at 1470 KiB and 14665 KiB here
+        tracemalloc.start()
+        try:
+            O.integer_power_density(2, 2, 0, bound)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit
+
+    def test_primes_match_the_trial_loop(self):
+        for n in itertools.chain(range(-2, 2001), [10**5]):
+            assert O._primes_up_to(n) == _primes_by_trial_loop(n), n
+
+
+class TestZetaValues:
+    @pytest.mark.parametrize("terms", [0, -3])
+    def test_refuses_fewer_than_one_term(self, terms):
+        with pytest.raises(InputError):
+            O.zeta_value(2, terms)
+        with pytest.raises(InputError):
+            O.zeta_values((2, 3), terms)
+
+    def test_refuses_s_below_two(self):
+        with pytest.raises(InputError):
+            O.zeta_values((3, 1))
+
+    @pytest.mark.parametrize("terms", [1, 16, 17, 3001])
+    def test_one_tree_gives_each_sequential_sum(self, terms):
+        got = O.zeta_values((2, 3, 5), terms)
+        for s in (2, 3, 5):
+            total = sum((Fraction(1, n**s) for n in range(1, terms + 1)), Fraction(0))
+            assert got[s] == O.zeta_value(s, terms) == (total, Fraction(1, (s - 1) * terms ** (s - 1)))
 
 
 class TestExpFormula:
