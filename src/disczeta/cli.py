@@ -4,8 +4,10 @@ Verbs: ``series`` (k, kbar, symsing, zeta, zetainv), ``limit`` (stable
 limits), ``hyper`` (singular-divisor densities), ``oracle`` (brute force)
 and ``verify`` (the acceptance suite).  Output is a human-readable table by
 default; ``--json`` and ``--csv`` select machine formats.  Every run echoes
-its fully resolved parameter set and is deterministic given its flags;
-``oracle`` refuses, naming them, the flags its ``--op`` does not read.
+its fully resolved parameter set and is deterministic given its flags.
+Every verb reads the flags of one mode (the ``series`` kind, ``limit --of``,
+``hyper --multi`` or not, ``oracle --op``) and refuses, naming them, the
+flags of its other modes.
 
 Exit codes: 1 when a ``verify`` criterion fails, 2 for unusable input, 3 for
 enumeration-guard violations, 4 for a failed internal cross-check, 141 when
@@ -53,12 +55,60 @@ def _json_value(value):
     return str(value)
 
 
-def _parse_int_partition(text: str) -> tuple[int, ...]:
-    gp = GenPartition.parse(text)
-    vals = gp.as_integers()
+def _int_partition(params: dict, key: str) -> tuple[int, ...]:
+    """The integer partition that ``params[key]`` spells; the echo becomes its normal form."""
+    vals = GenPartition.parse(params[key]).as_integers()
     if vals is None:
-        raise InputError(f"expected an integer partition, got {text!r}")
-    return int_partition(vals)
+        raise InputError(f"expected an integer partition, got {params[key]!r}")
+    parts = int_partition(vals)
+    params[key] = ",".join(map(str, parts)) or "-"
+    return parts
+
+
+# The flags each mode of a verb reads, with their defaults (None: no default).  A mode refuses the
+# flags of its verb's other modes, and echoes each flag it reads, once set, but a guard.
+_TRUNC, _LIMIT = {"trunc": 12}, {"normalization": "Sym", "cutoff": 10}
+_FLAGS = {
+    "series": {
+        "k": {"nu": "", "a": 2, **_TRUNC},
+        "kbar": {"nu": None, **_TRUNC},
+        "symsing": {"s": None, **_TRUNC},
+        "zeta": {"s": None, **_TRUNC},
+        "zetainv": {"lam": "", "guard": G.ZINV_GUARD, **_TRUNC},
+    },
+    "limit": {
+        "k": {"nu": "", "a": 2, **_LIMIT},
+        "kbar": {"nu": None, **_LIMIT},
+        "symsing": {"s": 0, **_LIMIT},
+        "distinctnu": {"nu": "", **_LIMIT},
+    },
+    "hyper": {
+        "multi": {"d": 1, "multi": None, "cutoff": 10},
+        "s": {"d": 1, "s": 0, "ordered": None, "cutoff": 10},
+    },
+    "oracle": {
+        "wlambda": {"X": "A1", "q": 2, "lam": "", "guard": O.DEFAULT_GUARD},
+        "syms": {"q": 2, "j": None, "s": 0, "sweep_j": None, "guard": O.DEFAULT_GUARD},
+        "intdensity": {"a": 2, "b": 2, "r": 0, "bound": 10**6, "guard": O.DEFAULT_GUARD},
+        "expformula": {"counts": "", "n": 8},
+    },
+}
+_FLAGS["oracle"]["hyper"] = _FLAGS["oracle"]["syms"]
+_SELECTOR = {"limit": "--of ", "oracle": "--op "}  # how a refusal names the mode
+
+
+def _read_flags(args, verb: str, mode: str) -> dict:
+    """Refuse, naming them, the given flags of ``verb``'s other modes; fill in the defaults of
+    the flags ``mode`` reads, and return the params it echoes."""
+    modes, given, name = _FLAGS[verb], vars(args), {"lam": "lambda"}.get  # the one dest not named as its flag
+    reads = modes[mode]
+    every = dict.fromkeys(d for flags in modes.values() for d in flags)
+    unread = [d for d in every if d not in reads and given[d] is not None]
+    if unread:
+        names = ", ".join("--" + name(d, d).replace("_", "-") for d in unread)
+        raise InputError(f"{verb} {_SELECTOR.get(verb, '')}{mode} does not read {names}")
+    given.update((d, default) for d, default in reads.items() if given[d] is None)
+    return {name(d, d): given[d] for d in reads if d != "guard" and given[d] is not None}
 
 
 def _emit(args, command: str, params: dict, result: dict, rows: list[tuple] | None = None) -> None:
@@ -80,55 +130,50 @@ def _emit(args, command: str, params: dict, result: dict, rows: list[tuple] | No
             print(f"{k}: {v}")
 
 
+def _emit_report(args, command: str, params: dict, report) -> None:
+    """Print a ``LimitReport`` or ``HypersurfaceDensity``: its fields but d and s, the cutoff in JSON only."""
+    fields = {k: v for k, v in report._asdict().items() if k not in ("d", "s")}
+    rows = [(k, _render(v)) for k, v in fields.items() if k != "codim_cutoff"]
+    _emit(args, command, params, {k: _json_value(v) for k, v in fields.items()}, rows)
+
+
 def _series_rows(coeffs: list[str]) -> list[tuple]:
     return [(f"t^{n}", c) for n, c in enumerate(coeffs)]
 
 
-def _model_params(args, **head) -> tuple:
-    """The X-model and specialization of ``--X``/``--spec``, and the params a verb echoes."""
+def _model_params(args, verb: str, mode: str, **head) -> tuple:
+    """The X-model and specialization of ``--X``/``--spec``, and the params ``mode`` of ``verb`` echoes."""
     X = parse_model(args.X)
     spec = Specialization.parse(args.spec) if args.spec else None
-    return X, spec, {**head, "X": X.label(), "spec": str(spec or X.natural_spec())}
-
-
-def _nu(args, params: dict) -> tuple[int, ...]:
-    nu = _parse_int_partition(args.nu) if args.nu else ()
-    params["nu"] = ",".join(map(str, nu)) or "-"
-    return nu
+    return X, spec, {**head, **_read_flags(args, verb, mode), "X": X.label(), "spec": str(spec or X.natural_spec())}
 
 
 def _config_series(args, kind: str, params: dict) -> tuple:
-    """The ``k``, ``kbar`` or ``symsing`` routes, echoing their flags into params:
-    the series Y, its E = Y/Z_X, the arguments both take between X and the order,
-    and the zeta expression that ``limit`` reports for E(M^-1)."""
+    """The ``k``, ``kbar`` or ``symsing`` routes: the series Y, its E = Y/Z_X, the arguments
+    both take between X and the order, and the zeta expression that ``limit`` reports for E(M^-1)."""
     if kind == "k":
-        nu = _nu(args, params)
-        params["a"] = args.a
+        nu = _int_partition(params, "nu")
         return G.k_lt_a_nu, G.k_over_zeta, (nu, args.a), f"E(M^-1) with E = K_(<{args.a}){nu}/Z_X"
     if kind == "kbar":
         if not args.nu:
             raise InputError("kbar needs --nu with all parts >= 2")
-        nu = _nu(args, params)
+        nu = _int_partition(params, "nu")
         return G.kbar_nu, G.kbar_over_zeta, (nu,), f"E(M^-1) with E = Kbar_(1*{nu})/Z_X"
-    params["s"] = args.s
-    return G.sym_s_series, G.sym_s_over_zeta, (args.s or 0,), f"zeta^[{args.s or 0}]_X(2d)/zeta_X(2d)"
+    if args.s is None:
+        raise InputError("symsing needs --s")
+    return G.sym_s_series, G.sym_s_over_zeta, (args.s,), f"zeta^[{args.s}]_X(2d)/zeta_X(2d)"
 
 
 def cmd_series(args) -> int:
-    X, spec, params = _model_params(args, kind=args.kind, trunc=args.trunc)
+    X, spec, params = _model_params(args, "series", args.kind, kind=args.kind)
     n = args.trunc
-    if args.kind == "zeta" and args.s is not None:
-        params["s"] = args.s
-        series = G.zeta_s_series(X, args.s, n, spec)
-    elif args.kind == "zeta":
-        series = G.zeta_series(X, n, spec)
+    if args.kind == "zeta":
+        series = G.zeta_series(X, n, spec) if args.s is None else G.zeta_s_series(X, args.s, n, spec)
     elif args.kind == "zetainv":
-        lam = GenPartition.parse(args.lam) if args.lam else GenPartition.empty()
+        lam = GenPartition.parse(args.lam)
         params["lambda"] = str(lam)
         series = G.zinv_series(X, lam, n, spec, args.guard)
     else:
-        if args.kind == "symsing" and args.s is None:
-            raise InputError("symsing needs --s")
         route, _, head, _ = _config_series(args, args.kind, params)
         series = route(X, *head, n, spec)
     result = series.to_json()
@@ -137,50 +182,29 @@ def cmd_series(args) -> int:
 
 
 def cmd_limit(args) -> int:
+    X, spec, params = _model_params(args, "limit", args.of, of=args.of)
     cutoff = args.cutoff
-    X, spec, params = _model_params(args, of=args.of, cutoff=cutoff, normalization=args.normalization)
     if args.of == "distinctnu":
-        report = G.distinct_nu_limit(X, _nu(args, params), cutoff, spec)
+        if args.normalization == "M":
+            raise InputError("limit --of distinctnu is normalized by Sym^(j+sum nu): it takes no --normalization M")
+        report = G.distinct_nu_limit(X, _int_partition(params, "nu"), cutoff, spec)
     else:
         _, over_zeta, head, expr = _config_series(args, args.of, params)
         E = over_zeta(X, *head, G.default_limit_order(cutoff), spec)
         report = G.stable_limit(E, X, args.normalization, cutoff, spec, expr)
-    result = {
-        "value": _json_value(report.value),
-        "codim_cutoff": report.codim_cutoff,
-        "tail_indicator": _json_value(report.tail_indicator),
-        "normalization": report.normalization,
-        "zeta_expression": report.zeta_expression,
-    }
-    rows = [("value", _render(report.value)), ("tail_indicator", _render(report.tail_indicator)),
-            ("normalization", report.normalization), ("zeta_expression", report.zeta_expression)]
-    _emit(args, "limit", params, result, rows)
+    _emit_report(args, "limit", params, report)
     return 0
 
 
 def cmd_hyper(args) -> int:
-    X, spec, params = _model_params(args, d=args.d, cutoff=args.cutoff)
+    if args.multi is not None and (args.ordered or args.s is not None):
+        raise InputError("--multi cannot be combined with --ordered or --s")
+    X, spec, params = _model_params(args, "hyper", "s" if args.multi is None else "multi")
     if args.multi is not None:
-        if args.ordered or args.s is not None:
-            raise InputError("--multi cannot be combined with --ordered or --s")
-        params["multi"] = args.multi
         density = G.multi_point_density(X, args.d, args.multi, args.cutoff, spec)
-    elif args.ordered:
-        params["s"] = args.s or 0
-        params["ordered"] = True
-        density = G.hyper_ordered_density(X, args.d, args.s or 0, args.cutoff, spec)
     else:
-        params["s"] = args.s or 0
-        density = G.hyper_density(X, args.d, args.s or 0, args.cutoff, spec)
-    result = {
-        "value": _json_value(density.value),
-        "expression": density.expression,
-        "codim_cutoff": density.codim_cutoff,
-        "tail_indicator": _json_value(density.tail_indicator),
-    }
-    rows = [("value", _render(density.value)), ("expression", density.expression),
-            ("tail_indicator", _render(density.tail_indicator))]
-    _emit(args, "hyper", params, result, rows)
+        density = (G.hyper_ordered_density if args.ordered else G.hyper_density)(X, args.d, args.s, args.cutoff, spec)
+    _emit_report(args, "hyper", params, density)
     return 0
 
 
@@ -195,60 +219,32 @@ def _sweep_range(text: str) -> range:
     raise InputError(f"--sweep-j takes lo:hi with integers lo <= hi, got {text!r}")
 
 
-# the flags each oracle op reads, with their defaults; an op refuses any other flag it is given
-_ORACLE_FLAGS = {
-    "wlambda": {"oracle_X": "A1", "q": 2, "lam": "", "guard": O.DEFAULT_GUARD},
-    "syms": {"q": 2, "j": None, "s": 0, "sweep_j": None, "guard": O.DEFAULT_GUARD},
-    "intdensity": {"a": 2, "b": 2, "r": 0, "bound": 10**6, "guard": O.DEFAULT_GUARD},
-    "expformula": {"counts": "", "n": 8},
-}
-_ORACLE_FLAGS["hyper"] = _ORACLE_FLAGS["syms"]
-
-
-def _oracle_flags(args) -> None:
-    """Refuse, naming them, the flags that ``args.op`` does not read; fill in the defaults of the rest."""
-    reads, given = _ORACLE_FLAGS[args.op], vars(args)
-    every = dict.fromkeys(dest for flags in _ORACLE_FLAGS.values() for dest in flags)
-    unread = [d for d in every if d not in reads and given[d] is not None]
-    if unread:
-        names = ", ".join("--" + {"oracle_X": "X", "lam": "lambda"}.get(d, d).replace("_", "-") for d in unread)
-        raise InputError(f"oracle --op {args.op} does not read {names}")
-    given.update((dest, default) for dest, default in reads.items() if given[dest] is None)
-
-
 def cmd_oracle(args) -> int:
-    _oracle_flags(args)
+    params = {"op": args.op, **_read_flags(args, "oracle", args.op)}
     guard = args.guard
     start = time.monotonic()
     sweep = None  # the {j: value} of a --sweep-j run, printed one row per j
     if args.op == "wlambda":
-        lam = _parse_int_partition(args.lam)
-        params = {"op": "wlambda", "X": args.oracle_X, "q": args.q, "lambda": ",".join(map(str, lam)) or "-"}
-        result = {"exact_count": O.count_w_lambda(args.oracle_X, args.q, lam, guard)}
+        result = {"exact_count": O.count_w_lambda(args.X, args.q, _int_partition(params, "lambda"), guard)}
     elif args.op in ("syms", "hyper"):
-        if args.j is None and not args.sweep_j:
+        if args.j is None and args.sweep_j is None:
             raise InputError(f"oracle --op {args.op} needs --j or --sweep-j")
-        if args.j is not None and args.sweep_j:
+        if args.j is not None and args.sweep_j is not None:
             raise InputError("--j cannot be combined with --sweep-j")
         if args.op == "syms":
             count, key, sweep_key = O.count_sym_s, "exact_count", "counts"
         else:
             count, key, sweep_key = O.count_hyper_s, "fraction", "fractions"
-        params = {"op": args.op, "q": args.q, "s": args.s}
-        if args.sweep_j:
-            params["sweep_j"], js = args.sweep_j, _sweep_range(args.sweep_j)
-        else:
-            params["j"], js = args.j, [args.j]
+        js = [args.j] if args.sweep_j is None else _sweep_range(args.sweep_j)
         # the largest j first: the guard refuses a sweep before any j is counted
         values = {j: count(args.q, j, args.s, guard) for j in reversed(js)}
-        sweep = {j: values[j] for j in js} if args.sweep_j else None
+        sweep = None if args.sweep_j is None else {j: values[j] for j in js}
         result = {sweep_key: sweep} if sweep else {key: values[args.j]}
     elif args.op == "intdensity":
-        params = {"op": "intdensity", "a": args.a, "b": args.b, "r": args.r, "bound": args.bound}
         # the prediction's exact denominator has thousands of digits: it is
         # reported as a float, and its guard runs before the sieve
         pred = O.power_density_prediction(args.a, args.b, args.r, guard=guard)
-        density = O.integer_power_density(args.a, args.b, args.r, args.bound, max(guard, args.bound))
+        density = O.integer_power_density(args.a, args.b, args.r, args.bound)
         result = {
             "fraction": density,
             "prediction": float(pred["value"]),
@@ -257,9 +253,8 @@ def cmd_oracle(args) -> int:
             "note": pred["note"],
         }
     else:  # expformula
-        counts = [int(x) for x in args.counts.split(",") if x.strip()]
-        params = {"op": "expformula", "counts": counts, "n": args.n}
-        result = {"sym_counts": O.exp_formula_sym_counts(counts, args.n)}
+        params["counts"] = [int(x) for x in args.counts.split(",") if x.strip()]
+        result = {"sym_counts": O.exp_formula_sym_counts(params["counts"], args.n)}
     result["elapsed_s"] = round(time.monotonic() - start, 3)
 
     # a fraction prints as in hyper and limit
@@ -298,40 +293,40 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit JSON")
         p.add_argument("--csv", action="store_true", help="emit CSV")
 
+    # no defaults for the flags of a mode: it fills in those of the flags it reads (_FLAGS)
     p_series = sub.add_parser("series", help="compute a truncated generating series")
     p_series.add_argument("kind", choices=["k", "kbar", "symsing", "zeta", "zetainv"])
-    p_series.add_argument("--nu", default=None, help="integer partition, e.g. 2,2 or 2^2")
-    p_series.add_argument("--a", type=int, default=2, help="multiplicity bound for k (default 2)")
-    p_series.add_argument("--s", type=int, default=None, help="number of points (zeta -> Z^[s], symsing)")
-    p_series.add_argument("--lambda", dest="lam", default=None, help="generalized partition for zetainv")
-    p_series.add_argument("--trunc", type=int, default=12, help="truncation order (default 12)")
-    p_series.add_argument("--guard", type=int, default=G.ZINV_GUARD, help="zetainv guard on the symbolic model: sum_{k<=N-|lambda|} p(k), the monomials of its output")
+    p_series.add_argument("--nu", help="integer partition, e.g. 2,2 or 2^2")
+    p_series.add_argument("--a", type=int, help="multiplicity bound for k (default 2)")
+    p_series.add_argument("--s", type=int, help="number of points (zeta -> Z^[s], symsing)")
+    p_series.add_argument("--lambda", dest="lam", help="generalized partition for zetainv")
+    p_series.add_argument("--trunc", type=int, help="truncation order (default 12)")
+    p_series.add_argument("--guard", type=int, help="zetainv guard on the symbolic model: sum_{k<=N-|lambda|} p(k), the monomials of its output")
     add_common(p_series)
     p_series.set_defaults(func=cmd_series)
 
     p_limit = sub.add_parser("limit", help="stable limit of a configuration series")
     p_limit.add_argument("--of", choices=["k", "kbar", "symsing", "distinctnu"], default="k")
-    p_limit.add_argument("--nu", default=None)
-    p_limit.add_argument("--a", type=int, default=2)
-    p_limit.add_argument("--s", type=int, default=None)
-    p_limit.add_argument("--normalization", choices=["Sym", "M"], default="Sym")
-    p_limit.add_argument("--cutoff", type=int, default=10, help="codimension cutoff (default 10)")
+    p_limit.add_argument("--nu")
+    p_limit.add_argument("--a", type=int, help="multiplicity bound for k (default 2)")
+    p_limit.add_argument("--s", type=int, help="number of multiple points for symsing (default 0)")
+    p_limit.add_argument("--normalization", choices=["Sym", "M"], help="divide by Sym^j or M^j (default Sym)")
+    p_limit.add_argument("--cutoff", type=int, help="codimension cutoff (default 10)")
     add_common(p_limit)
     p_limit.set_defaults(func=cmd_limit)
 
     p_hyper = sub.add_parser("hyper", help="limiting densities of singular divisors")
-    p_hyper.add_argument("--s", type=int, default=None, help="number of singular points (default 0)")
-    p_hyper.add_argument("--d", type=int, default=1, help="dimension of X")
-    p_hyper.add_argument("--ordered", action="store_true", help="s ordered singular points")
-    p_hyper.add_argument("--multi", type=int, default=None, help="no m-multiple-point density")
-    p_hyper.add_argument("--cutoff", type=int, default=10)
+    p_hyper.add_argument("--s", type=int, help="number of singular points (default 0)")
+    p_hyper.add_argument("--d", type=int, help="dimension of X (default 1)")
+    p_hyper.add_argument("--ordered", action="store_true", default=None, help="s ordered singular points")
+    p_hyper.add_argument("--multi", type=int, help="no m-multiple-point density")
+    p_hyper.add_argument("--cutoff", type=int, help="codimension cutoff (default 10)")
     add_common(p_hyper)
     p_hyper.set_defaults(func=cmd_hyper)
 
     p_oracle = sub.add_parser("oracle", help="exhaustive finite-field and integer brute force")
     p_oracle.add_argument("--op", choices=["wlambda", "syms", "hyper", "intdensity", "expformula"], required=True)
-    # no defaults here: an op fills in those of the flags it reads (_ORACLE_FLAGS)
-    p_oracle.add_argument("--X", dest="oracle_X", choices=["A1", "P1"])
+    p_oracle.add_argument("--X", choices=["A1", "P1"])
     for flag in ("--q", "--j", "--s", "--a", "--b", "--r", "--bound", "--n"):
         p_oracle.add_argument(flag, type=int)
     p_oracle.add_argument("--lambda", dest="lam")

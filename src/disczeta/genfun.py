@@ -16,8 +16,9 @@ The series built here (all truncated in t):
   the second route that checks ``zinv_series``.
 * densities and stable limits expressed through motivic zeta values.
 
-One stratum: ``w_class`` is [w_lambda] by multiplicity profile, and the memoized
-``wbar_class`` sums it over the profile counts of ``partitions.closure_profiles``.
+One stratum: ``_w_profile`` is [w_lambda] by multiplicity profile, ``w_of`` its image
+through an X-model, and the memoized ``wbar_class`` sums it over the profile counts
+of ``partitions.closure_profiles``.
 One grower, ``_joint_profiles``, counts (joint profile, total) for Z^[m] and for
 the members of A_<a(nu) that the K recursion subtracts.
 
@@ -133,15 +134,6 @@ def _w_profile(profile: tuple[int, ...]) -> MotivicClass:
                     collided.append(m - k)
             minus[tuple(sorted(collided, reverse=True))] += 1
     return MotivicClass.dot([head] + [(-n, _w_profile(p)) for p, n in minus.items()])
-
-
-def w_class(lam: GenPartition | tuple[int, ...]) -> MotivicClass:
-    """The open stratum [w_lambda] as a polynomial in S_1, S_2, ...
-
-    Depends only on the multiplicity profile of lambda.
-    """
-    profile = lam if isinstance(lam, tuple) else pt.multiplicity_profile(lam)
-    return _w_profile(tuple(sorted(profile, reverse=True)))
 
 
 @lru_cache(maxsize=None)  # GenPartition is immutable and hashable, so no entry goes stale

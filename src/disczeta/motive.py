@@ -503,11 +503,6 @@ class TruncSeries:
                 )
         return TruncSeries(self.coeffs[k:] or (0,), self.grading)
 
-    def truncate(self, order: int) -> "TruncSeries":
-        if order > self.order:
-            raise InputError("cannot extend a truncated series")
-        return TruncSeries(self.coeffs[: order + 1], self.grading)
-
     def regraded(self, grading: str) -> "TruncSeries":
         """Reinterpret the t-grading.  Only for identities that bridge gradings."""
         return TruncSeries(self.coeffs, grading)

@@ -20,7 +20,7 @@ infinity on P^1.  The gcd routes (``squarefree_decomposition``,
 
 Enumerations refuse to start when the state space exceeds the guard
 (default 10^7 states) rather than truncating silently.  The integer
-sieve holds O(sqrt(bound)) bytes, so its guard bounds time.
+sieve holds O(sqrt(bound)) bytes, and bound <= 10^8 caps its time.
 """
 
 from __future__ import annotations
@@ -457,7 +457,7 @@ def _sieve_window(bound: int) -> int:
     return max(2**15, 64 * math.isqrt(bound))
 
 
-def integer_power_density(a: int, b: int, r: int, bound: int, guard: int = MAX_GUARD) -> Fraction:
+def integer_power_density(a: int, b: int, r: int, bound: int) -> Fraction:
     """Exact proportion of n <= bound divisible by c_0^a c_1^b ... c_r^b for
     some integers c_i > 1.
 
@@ -470,7 +470,6 @@ def integer_power_density(a: int, b: int, r: int, bound: int, guard: int = MAX_G
         raise InputError(f"need 2 <= a <= b and r >= 0, got a={a}, b={b}, r={r}")
     if bound < 1 or bound > 10**8:
         raise InputError("bound must be between 1 and 10^8")
-    _check_guard(bound, guard)
     primes = _primes_up_to(int(round(bound ** (1.0 / a))) + 2)
     moduli = set()
 

@@ -100,7 +100,7 @@ class Part(NamedTuple):
 
 class GenPartition:
     """A finite multiset of parts, stored canonically sorted.  Immutable, hashed
-    as (parts,), and not a tuple: ``genfun.w_class`` reads tuples as profiles."""
+    as (parts,), and not a tuple, so never taken for a multiplicity profile."""
 
     __slots__ = ("parts",)
 

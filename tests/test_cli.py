@@ -1,6 +1,7 @@
 """The CLI: exit codes, text output, the modules that start-up loads and the
 environment it does not read."""
 
+import argparse
 import ast
 import json
 import os
@@ -104,24 +105,77 @@ def test_oracle_refuses_the_flags_of_other_ops(capsys):
 @pytest.mark.parametrize(
     "bare, explicit",
     [
-        ("--op wlambda", "--op wlambda --X A1 --q 2 --guard 10000000"),
-        ("--op syms --j 3", "--op syms --j 3 --q 2 --s 0 --guard 10000000"),
-        ("--op hyper --sweep-j 2:3", "--op hyper --sweep-j 2:3 --q 2 --s 0 --guard 10000000"),
-        ("--op intdensity --bound 100", "--op intdensity --bound 100 --a 2 --b 2 --r 0 --guard 10000000"),
-        ("--op expformula --counts 2,4,8,16,32,64,128,256", "--op expformula --counts 2,4,8,16,32,64,128,256 --n 8"),
+        ("oracle --op wlambda", "oracle --op wlambda --X A1 --q 2 --guard 10000000"),
+        ("oracle --op syms --j 3", "oracle --op syms --j 3 --q 2 --s 0 --guard 10000000"),
+        ("oracle --op hyper --sweep-j 2:3", "oracle --op hyper --sweep-j 2:3 --q 2 --s 0 --guard 10000000"),
+        ("oracle --op intdensity --bound 100", "oracle --op intdensity --bound 100 --a 2 --b 2 --r 0 --guard 10000000"),
+        ("oracle --op expformula --counts 2,4,8,16,32,64,128,256",
+         "oracle --op expformula --counts 2,4,8,16,32,64,128,256 --n 8"),
+        ("series k --X P1 --spec count:q=3", "series k --X P1 --spec count:q=3 --a 2 --trunc 12"),
+        ("limit --of symsing --X P1 --cutoff 4", "limit --of symsing --X P1 --cutoff 4 --s 0 --normalization Sym"),
+        ("limit --of distinctnu --nu 2 --X P1", "limit --of distinctnu --nu 2 --X P1 --normalization Sym --cutoff 10"),
+        ("hyper --X P1 --spec count:q=3", "hyper --X P1 --spec count:q=3 --d 1 --s 0 --cutoff 10"),
     ],
 )
-def test_oracle_flags_at_their_defaults_print_what_omitting_them_prints(capsys, bare, explicit):
-    outputs = []
-    for argv in (bare, explicit):
-        assert cli.main(["oracle", *argv.split(), "--json"]) == 0
-        output = json.loads(capsys.readouterr().out)
-        output["result"].pop("elapsed_s")
-        outputs.append(output)
-    assert outputs[0] == outputs[1]
+def test_flags_at_their_defaults_print_what_omitting_them_prints(capsys, bare, explicit):
+    assert _json_output(capsys, bare) == _json_output(capsys, explicit)
 
 
-@pytest.mark.parametrize("sweep", ["11:8", "8", "3:4:5", "a:4", ":4"])
+def _json_output(capsys, command: str) -> dict:
+    assert cli.main([*command.split(), "--json"]) == 0
+    output = json.loads(capsys.readouterr().out)
+    output["result"].pop("elapsed_s", None)
+    return output
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("series kbar --nu 2 --a 3", "series kbar does not read --a"),
+        ("series zetainv --nu 2", "series zetainv does not read --nu"),
+        ("series zeta --guard 5", "series zeta does not read --guard"),
+        ("series symsing --s 1 --nu 3", "series symsing does not read --nu"),
+        ("limit --of kbar --nu 2 --a 7 --X P1", "limit --of kbar does not read --a"),
+        ("limit --of distinctnu --nu 2 --normalization M --X P1",
+         "limit --of distinctnu is normalized by Sym^(j+sum nu): it takes no --normalization M"),
+    ],
+)
+def test_verbs_refuse_the_flags_of_their_other_modes(capsys, command, message):
+    assert cli.main(command.split()) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def _subparsers() -> dict:
+    (verbs,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return verbs.choices
+
+
+def test_every_flag_of_a_verb_is_in_its_flag_table():
+    # a flag outside the table would be read by every mode, or silently by none
+    selectors = {"series": "kind", "limit": "of", "oracle": "op"}
+    for verb, parser in _subparsers().items():
+        read = {dest for flags in cli._FLAGS.get(verb, {}).values() for dest in flags}
+        unmoded = ("help", selectors.get(verb), "X", "spec", "json", "csv", "suite")
+        for action in parser._actions:
+            if action.dest in read:
+                assert action.default is None, (verb, action.dest)  # the mode fills in its default
+            else:
+                assert action.dest in unmoded, (verb, action.dest)
+
+
+def test_help_states_the_defaults_of_the_flag_table():
+    stated = 0
+    for verb, parser in _subparsers().items():
+        for action in parser._actions:
+            match = re.search(r"\(default (\S+)\)", action.help or "")
+            if match:
+                stated += 1
+                defaults = {str(flags[action.dest]) for flags in cli._FLAGS[verb].values() if action.dest in flags}
+                assert defaults == {match.group(1)}, (verb, action.dest)
+    assert stated == 9
+
+
+@pytest.mark.parametrize("sweep", ["11:8", "8", "3:4:5", "a:4", ":4", ""])
 @pytest.mark.parametrize("op", ["syms", "hyper"])
 def test_malformed_sweep_j_is_rejected(capsys, op, sweep):
     assert cli.main(["oracle", "--op", op, "--q", "3", "--sweep-j", sweep]) == 2

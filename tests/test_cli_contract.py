@@ -86,6 +86,9 @@ EDGE_CASES = (
     "limit --of distinctnu --nu 2,3,4 --X A^1 --spec count:q=3 --cutoff 6",
     "hyper --X P1 --d 1 --s 1 --spec count:q=6 --cutoff 3",
     "series zeta --X counts:q=6 --trunc 3",
+    "series kbar --nu 2 --a 3 --trunc 6",
+    "limit --of kbar --nu 2 --a 7 --X P1",
+    "limit --of distinctnu --nu 2 --normalization M --X P1",
 )
 
 COMMANDS = list(SLOTS + EDGE_CASES) + [c + " --csv" for c in SLOTS + EDGE_CASES if c != "verify"]  # verify has no CSV

@@ -24,6 +24,11 @@ Q2 = XModel.point_counts(2)
 Q3 = XModel.point_counts(3)
 
 
+def w(lam: GenPartition) -> MotivicClass:
+    """[w_lambda] through the symbolic model, from the multiplicity profile of lambda."""
+    return G.w_of(SYM, pt.multiplicity_profile(lam))
+
+
 def gp(*values):
     return GenPartition.integers(values)
 
@@ -98,19 +103,19 @@ def star_profile(s: int) -> GenPartition:
 
 class TestWClasses:
     def test_pairs(self):
-        assert G.w_class(gp(1, 1)) == S(2) - S(1)
-        assert G.w_class(gp(1, 2)) == S(1) * S(1) - S(1)
-        assert G.w_class(gp(1, 1, 1)) == S(3) - S(1) * S(1)
+        assert w(gp(1, 1)) == S(2) - S(1)
+        assert w(gp(1, 2)) == S(1) * S(1) - S(1)
+        assert w(gp(1, 1, 1)) == S(3) - S(1) * S(1)
 
     def test_depends_only_on_profile(self):
-        assert G.w_class(gp(3, 5)) == G.w_class(gp(1, 2))
-        assert G.w_class(gp(4, 4)) == G.w_class(gp(1, 1))
+        assert w(gp(3, 5)) == w(gp(1, 2))
+        assert w(gp(4, 4)) == w(gp(1, 1))
 
     @given(st.lists(st.integers(min_value=1, max_value=4), min_size=0, max_size=5))
     @settings(max_examples=40, deadline=None)
     def test_matches_chain_formula(self, values):
         lam = gp(*values)
-        assert G.w_class(lam) == w_class_from_chains(lam)
+        assert w(lam) == w_class_from_chains(lam)
 
     def test_wbar_formalization(self):
         lam = GenPartition.of([pt.Part.gen("a"), pt.Part.gen("a"), pt.Part.gen("b")])
@@ -158,7 +163,7 @@ class TestWClasses:
 
     def test_sym_decomposes_into_w(self):
         # S_3 = w_{1,1,1} + w_{1,2} + w_{3}
-        total = G.w_class(gp(1, 1, 1)) + G.w_class(gp(1, 2)) + G.w_class(gp(3))
+        total = w(gp(1, 1, 1)) + w(gp(1, 2)) + w(gp(3))
         assert total == S(3)
 
 
@@ -290,7 +295,7 @@ class TestKbar:
         for a in (2, 3):
             k = G.k_lt_a_nu(SYM, (), a, n)
             kbar = G.kbar_nu(SYM, (a,), n)
-            assert k + kbar.shift_up(a).truncate(n) == G.zeta_series(SYM, n)
+            assert k + kbar.shift_up(a) == G.zeta_series(SYM, n)
 
     def test_closed_form_matches_recursion(self):
         for a, b, r in [(2, 2, 0), (2, 2, 1), (2, 3, 1), (3, 3, 1)]:

@@ -245,7 +245,7 @@ class TestCountWLambda:
         for total in range(0, 5):
             for lam in _partitions_of(total):
                 got = O.count_w_lambda(X, q, lam)
-                expect = xm.specialize(G.w_class(GenPartition.integers(lam)), spec)
+                expect = G.w_of(xm, pt.multiplicity_profile(lam), spec)
                 assert got == expect, (q, X, lam)
 
     def test_sixteen_quartics(self):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from disczeta import genfun as G
 from disczeta import partitions as P
 from disczeta.errors import InputError
+from disczeta.models import XModel
 from disczeta.motive import MotivicClass
 from disczeta.partitions import GenPartition, Part
 
@@ -37,7 +38,7 @@ def gens(*names):
 def wbar_by_closure(lam):
     """[wbar_lam] summed over the merge closure itself: the reference for ``wbar_class``."""
     profiles = Counter(map(P.multiplicity_profile, P.merge_closure(lam)))
-    return MotivicClass.dot((n, G.w_class(p)) for p, n in profiles.items())
+    return MotivicClass.dot((n, G.w_of(XModel.symbolic(), p)) for p, n in profiles.items())
 
 
 class TestBasics:

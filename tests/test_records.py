@@ -9,8 +9,6 @@ from fractions import Fraction
 
 import pytest
 
-from disczeta import genfun as G
-from disczeta import partitions as pt
 from disczeta.errors import InputError
 from disczeta.genfun import HypersurfaceDensity, LimitReport
 from disczeta.models import COUNT, Specialization, XModel
@@ -83,17 +81,3 @@ def test_slots_records_equal_only_their_own_class():
                 op(record)
     assert Specialization(COUNT, 3) != (COUNT, 3)
     assert Part.integer(1) + Part.integer(1) == Part.integer(2)
-
-
-def test_w_class_of_a_partition_goes_through_its_profile(monkeypatch):
-    seen = []
-    profile = pt.multiplicity_profile
-
-    def spy(lam):
-        seen.append(lam)
-        return profile(lam)
-
-    monkeypatch.setattr(pt, "multiplicity_profile", spy)
-    lam = GenPartition.integers((1, 2))
-    assert G.w_class(lam) == G.w_class((1, 1))
-    assert seen == [lam]
