@@ -83,8 +83,8 @@ _FLAGS = {
         "distinctnu": {"nu": "", **_LIMIT},
     },
     "hyper": {
-        "multi": {"d": 1, "multi": None, "cutoff": 10},
-        "s": {"d": 1, "s": 0, "ordered": None, "cutoff": 10},
+        "multi": {"d": None, "multi": None, "cutoff": 10},
+        "s": {"d": None, "s": 0, "ordered": None, "cutoff": 10},
     },
     "oracle": {
         "wlambda": {"X": "A1", "q": 2, "lam": "", "guard": O.DEFAULT_GUARD},
@@ -131,8 +131,8 @@ def _emit(args, command: str, params: dict, result: dict, rows: list[tuple] | No
 
 
 def _emit_report(args, command: str, params: dict, report) -> None:
-    """Print a ``LimitReport`` or ``HypersurfaceDensity``: its fields but d and s, the cutoff in JSON only."""
-    fields = {k: v for k, v in report._asdict().items() if k not in ("d", "s")}
+    """Print a ``LimitReport`` or ``HypersurfaceDensity``: its fields, the cutoff in JSON only."""
+    fields = report._asdict()
     rows = [(k, _render(v)) for k, v in fields.items() if k != "codim_cutoff"]
     _emit(args, command, params, {k: _json_value(v) for k, v in fields.items()}, rows)
 
@@ -200,10 +200,13 @@ def cmd_hyper(args) -> int:
     if args.multi is not None and (args.ordered or args.s is not None):
         raise InputError("--multi cannot be combined with --ordered or --s")
     X, spec, params = _model_params(args, "hyper", "s" if args.multi is None else "multi")
+    if args.d not in (None, X.dim):  # --d only restates the dimension of --X
+        raise InputError(f"model dimension {X.dim} does not match d={args.d}")
+    params["d"] = X.dim
     if args.multi is not None:
-        density = G.multi_point_density(X, args.d, args.multi, args.cutoff, spec)
+        density = G.multi_point_density(X, args.multi, args.cutoff, spec)
     else:
-        density = (G.hyper_ordered_density if args.ordered else G.hyper_density)(X, args.d, args.s, args.cutoff, spec)
+        density = (G.hyper_ordered_density if args.ordered else G.hyper_density)(X, args.s, args.cutoff, spec)
     _emit_report(args, "hyper", params, density)
     return 0
 
@@ -317,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_hyper = sub.add_parser("hyper", help="limiting densities of singular divisors")
     p_hyper.add_argument("--s", type=int, help="number of singular points (default 0)")
-    p_hyper.add_argument("--d", type=int, help="dimension of X (default 1)")
+    p_hyper.add_argument("--d", type=int, help="dimension of X, which must equal that of --X (default: the dimension of --X)")
     p_hyper.add_argument("--ordered", action="store_true", default=None, help="s ordered singular points")
     p_hyper.add_argument("--multi", type=int, help="no m-multiple-point density")
     p_hyper.add_argument("--cutoff", type=int, help="codimension cutoff (default 10)")

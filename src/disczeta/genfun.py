@@ -423,6 +423,10 @@ class _Ring:
     def truncate(self, value, cutoff: int):
         return value.truncated(self.grade, -self.scale * cutoff)[0]
 
+    def height(self, value) -> int:
+        """How far value reaches above dimension 0, in units of L: 0 if it does not."""
+        return math.ceil(max(0, self.poly.coerce(value).degree(self.grade)) / self.scale)
+
 
 class _MotivicRing(_Ring):
     poly = MotivicClass
@@ -459,6 +463,8 @@ class _CountRing(_Ring):
     def truncate(self, value, cutoff):
         return value
 
+    height = staticmethod(lambda value: 0)
+
 
 class _HodgeRing(_Ring):
     """L -> uv; codimension c is weight p + q = -2c."""
@@ -493,43 +499,38 @@ def _ring(X: XModel, spec: Specialization | None) -> _Ring:
 
 @strict
 class HypersurfaceDensity(NamedTuple):
-    """A limiting density of divisors in a very positive linear system."""
+    """A limiting density of divisors in a very positive linear system on X: what ``hyper`` prints."""
 
-    d: int
-    s: int | None
     value: object
     expression: str
     codim_cutoff: int
     tail_indicator: object
 
 
-def hyper_density(
-    X: XModel, d: int, s: int, cutoff: int, spec: Specialization | None = None
-) -> HypersurfaceDensity:
+def hyper_density(X: XModel, s: int, cutoff: int, spec: Specialization | None = None) -> HypersurfaceDensity:
     """Limiting density of divisors with exactly s singular geometric points:
-    zeta^[s]_X(d+1) / zeta_X(d+1).
+    zeta^[s]_X(d+1) / zeta_X(d+1), d = ``X.dim``.
 
     Computed as Z^[s] * Z^-1 evaluated at t = L^-(d+1).  The second route,
     through the point-graded inverse series zinv_{*^s}, is held by the tier-1
     test ``tests/test_genfun.py::TestSecondRoutes::test_zinv_star_bridge``.
     """
-    _check_hyper_args(X, d, cutoff, s)
+    _check_hyper_args(X, cutoff, s)
+    m = X.dim + 1
     # term k has dimension <= -k, so order cutoff+1 already covers the cutoff
     E = colored_over_zeta(X, (s,), cutoff + 1, spec)
-    value, tail = _ring(X, spec).evaluate(E, d + 1, cutoff)
-    expr = f"zeta^[{s}]_X({d + 1})/zeta_X({d + 1})" if s else f"1/zeta_X({d + 1})"
-    return HypersurfaceDensity(d, s, value, expr, cutoff, tail)
+    value, tail = _ring(X, spec).evaluate(E, m, cutoff)
+    expr = f"zeta^[{s}]_X({m})/zeta_X({m})" if s else f"1/zeta_X({m})"
+    return HypersurfaceDensity(value, expr, cutoff, tail)
 
 
-def hyper_ordered_density(
-    X: XModel, d: int, s: int, cutoff: int, spec: Specialization | None = None
-) -> HypersurfaceDensity:
-    """Limiting density with a choice of s ordered singular points:
+def hyper_ordered_density(X: XModel, s: int, cutoff: int, spec: Specialization | None = None) -> HypersurfaceDensity:
+    """Limiting density with a choice of s ordered singular points, d = ``X.dim``:
     [X^s - diagonal] / zeta_X(d+1) * (L^-(d+1) / (1 - L^-(d+1)))^s.
     """
-    _check_hyper_args(X, d, cutoff, s)
-    m = d + 1
-    inner = cutoff + s * d + 2
+    _check_hyper_args(X, cutoff, s)
+    m = X.dim + 1
+    inner = cutoff + s * X.dim + 2
     w_img = w_of(X, (1,) * s, spec)
     zeta_inv = zeta_series(X, inner, spec).inverse()
     ring = _ring(X, spec)
@@ -539,29 +540,24 @@ def hyper_ordered_density(
         value = value * geom
     value = ring.truncate(w_img * value, cutoff)
     expr = f"[X^{s}-diag]/zeta_X({m}) * (L^-{m}/(1-L^-{m}))^{s}"
-    return HypersurfaceDensity(d, s, value, expr, cutoff, tail)
+    return HypersurfaceDensity(value, expr, cutoff, tail)
 
 
-def multi_point_density(
-    X: XModel, d: int, m: int, cutoff: int, spec: Specialization | None = None
-) -> HypersurfaceDensity:
-    """Limiting density of divisors with no m-multiple point: 1/zeta_X(C(d+m-1, d))."""
-    _check_hyper_args(X, d, cutoff)
+def multi_point_density(X: XModel, m: int, cutoff: int, spec: Specialization | None = None) -> HypersurfaceDensity:
+    """Limiting density of divisors with no m-multiple point: 1/zeta_X(C(d+m-1, d)), d = ``X.dim``."""
+    _check_hyper_args(X, cutoff)
     if m < 2:
         raise InputError("m must be >= 2")
-    arg = math.comb(d + m - 1, d)
-    order = cutoff + 2
-    zeta_inv = zeta_series(X, order, spec).inverse()
+    arg = math.comb(X.dim + m - 1, X.dim)
+    zeta_inv = zeta_series(X, cutoff + 2, spec).inverse()
     value, tail = _ring(X, spec).evaluate(zeta_inv, arg, cutoff)
-    return HypersurfaceDensity(d, None, value, f"1/zeta_X({arg})", cutoff, tail)
+    return HypersurfaceDensity(value, f"1/zeta_X({arg})", cutoff, tail)
 
 
-def _check_hyper_args(X: XModel, d: int, cutoff: int, s: int = 0) -> None:
+def _check_hyper_args(X: XModel, cutoff: int, s: int = 0) -> None:
     _check_cutoff(cutoff)
-    if d < 1:
-        raise InputError("hypersurface densities need d >= 1")
-    if X.dim != d:
-        raise InputError(f"model dimension {X.dim} does not match d={d}")
+    if X.dim < 1:
+        raise InputError(f"hypersurface densities need a model of dimension >= 1, got {X.dim}")
     if s < 0:
         raise InputError("s must be >= 0")
 
@@ -602,6 +598,9 @@ def stable_limit(
     the ``series`` verb multiplies E by Z_X.  The Sym normalization is E(M^-1);
     the M-power normalization multiplies by the stable symmetric-power class
     of X, which is only available for the rational models built in.
+
+    E(M^-1) reaches dimension g = ``_Ring.height`` >= 0, so the class is built to codimension
+    cutoff + g and the product truncated once, at the cutoff.  The tail covers E(M^-1) alone.
     """
     _check_cutoff(cutoff)
     if normalization not in ("Sym", "M"):
@@ -611,20 +610,17 @@ def stable_limit(
     ring = _ring(X, spec)
     value, tail = ring.evaluate_at_M(E, cutoff)
     if normalization == "M":
-        value = ring.truncate(value * _stable_sym_class(X, spec, ring, cutoff), cutoff)
+        value = ring.truncate(value * _stable_sym_class(X, spec, ring, cutoff + ring.height(value)), cutoff)
     label = "by M^j" if normalization == "M" else "by Sym^j"
     return LimitReport(value, cutoff, tail, label, expression)
 
 
 def _stable_sym_class(X: XModel, spec: Specialization | None, ring: _Ring, cutoff: int):
-    """lim [Sym^n X]/M^n = prod_{i=1..k} 1/(1 - L^-i), k = ``X.stable_sym_poles()``."""
-    k = X.stable_sym_poles()
-    if not k:
-        return X.sym(0, spec)
-    out = 1
-    for i in range(1, k + 1):
+    """lim [Sym^n X]/M^n = prod_{i=1..k} 1/(1 - L^-i), k = ``X.stable_sym_poles()``, to codimension cutoff."""
+    out = X.sym(0, spec)
+    for i in range(1, X.stable_sym_poles() + 1):
         out = out * (1 + ring.geometric(i, cutoff))
-    return ring.truncate(out, cutoff)
+    return out
 
 
 def distinct_nu_limit(X: XModel, nu, cutoff: int, spec: Specialization | None = None) -> LimitReport:

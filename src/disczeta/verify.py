@@ -119,7 +119,7 @@ def check_hyper_density_p1() -> dict:
     expect1 = Fraction(q * q - 1, q**3)
     got1 = tables[12][1]
     ok1 = abs(got1 - expect1) < Fraction(1, 100)
-    formula = G.hyper_density(XModel.proj_line(), 1, 1, 10, Specialization(COUNT, q)).value
+    formula = G.hyper_density(XModel.proj_line(), 1, 10, Specialization(COUNT, q)).value
     return _result(
         "hyper-density-p1",
         ok1 and abs(formula - expect1) < Fraction(1, 10**6),

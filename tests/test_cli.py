@@ -129,6 +129,24 @@ def _json_output(capsys, command: str) -> dict:
 
 
 @pytest.mark.parametrize(
+    "command, d",
+    [("hyper --X P2 --s 1 --cutoff 4", 2), ("hyper --X P2 --s 1 --ordered --cutoff 4", 2), ("hyper --X P3 --multi 2 --cutoff 4", 3)],
+)
+def test_hyper_reads_the_dimension_of_its_model(capsys, command, d):
+    # --d only restates dim X: omitted, it is the model's, and the output does not tell the two apart
+    explicit = f"{command} --d {d}"
+    assert _json_output(capsys, command) == _json_output(capsys, explicit)
+    assert _output(capsys, command.split()) == _output(capsys, explicit.split())
+
+
+def test_hyper_refuses_a_dimension_that_is_not_its_models(capsys):
+    assert cli.main("hyper --X P2 --d 1 --s 1".split()) == 2
+    assert capsys.readouterr() == ("", "error: model dimension 2 does not match d=1\n")
+    assert cli.main("hyper --X pt --s 0".split()) == 2
+    assert capsys.readouterr() == ("", "error: hypersurface densities need a model of dimension >= 1, got 0\n")
+
+
+@pytest.mark.parametrize(
     "command, message",
     [
         ("series kbar --nu 2 --a 3", "series kbar does not read --a"),
@@ -172,7 +190,7 @@ def test_help_states_the_defaults_of_the_flag_table():
                 stated += 1
                 defaults = {str(flags[action.dest]) for flags in cli._FLAGS[verb].values() if action.dest in flags}
                 assert defaults == {match.group(1)}, (verb, action.dest)
-    assert stated == 9
+    assert stated == 8
 
 
 @pytest.mark.parametrize("sweep", ["11:8", "8", "3:4:5", "a:4", ":4", ""])

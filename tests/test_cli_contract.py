@@ -77,6 +77,7 @@ EDGE_CASES = (
     "hyper --d 1 --s 1 --cutoff 4",
     "hyper --d 1 --s 1 --ordered --cutoff 4",
     "hyper --d 1 --multi 2 --cutoff 4",
+    "hyper --X P2 --s 1 --cutoff 4",
     "series zeta --X counts:q=3 --spec count:q=5 --trunc 3",
     "series zeta --X symbolic --spec hodge-deligne --trunc 3",
     "series k --X P1 --spec count --trunc 3",

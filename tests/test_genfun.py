@@ -388,33 +388,33 @@ class TestZinv:
 
 class TestDensities:
     def test_smooth_projline_q2(self):
-        got = G.hyper_density(P1, 1, 0, 8, Specialization(COUNT, 2))
+        got = G.hyper_density(P1, 0, 8, Specialization(COUNT, 2))
         assert got.value == Fraction(3, 8)
 
     def test_one_singular_projline_q2(self):
-        got = G.hyper_density(P1, 1, 1, 8, Specialization(COUNT, 2))
+        got = G.hyper_density(P1, 1, 8, Specialization(COUNT, 2))
         q = Fraction(2)
         # (q+1) q^-2 / (1-q^-2) * (1-q^-1)(1-q^-2) = (q^2-1)/q^3
         assert got.value == (q * q - 1) / q**3
 
     def test_smooth_affine_motivic(self):
-        got = G.hyper_density(A1, 1, 0, 8)
+        got = G.hyper_density(A1, 0, 8)
         # 1/zeta_{A^1}(2) = 1 - L^-1
         assert got.value == MotivicClass.coerce(LaurentL.of({0: 1, -1: -1}))
 
     def test_ordered_s1_equals_unordered(self):
-        a = G.hyper_density(A1, 1, 1, 8)
-        b = G.hyper_ordered_density(A1, 1, 1, 8)
+        a = G.hyper_density(A1, 1, 8)
+        b = G.hyper_ordered_density(A1, 1, 8)
         assert a.value == b.value
 
     def test_ordered_s0_is_smooth(self):
-        a = G.hyper_density(P1, 1, 0, 6, Specialization(COUNT, 3))
-        b = G.hyper_ordered_density(P1, 1, 0, 6, Specialization(COUNT, 3))
+        a = G.hyper_density(P1, 0, 6, Specialization(COUNT, 3))
+        b = G.hyper_ordered_density(P1, 0, 6, Specialization(COUNT, 3))
         assert a.value == b.value
 
     def test_ordered_s2_uses_w12(self):
         q = Fraction(2)
-        got = G.hyper_ordered_density(P1, 1, 2, 8, Specialization(COUNT, 2))
+        got = G.hyper_ordered_density(P1, 2, 8, Specialization(COUNT, 2))
         npts = q + 1
         w12 = npts * npts - npts
         factor = (q**-2) / (1 - q**-2)
@@ -423,20 +423,20 @@ class TestDensities:
 
     def test_multi_point(self):
         # m=2 reduces to the singular-point case; C(3,1)=3; C(4,2)=6
-        a = G.multi_point_density(P1, 1, 2, 6, Specialization(COUNT, 2))
-        b = G.hyper_density(P1, 1, 0, 6, Specialization(COUNT, 2))
+        a = G.multi_point_density(P1, 2, 6, Specialization(COUNT, 2))
+        b = G.hyper_density(P1, 0, 6, Specialization(COUNT, 2))
         assert a.value == b.value
-        got = G.multi_point_density(P1, 1, 3, 6, Specialization(COUNT, 2))
+        got = G.multi_point_density(P1, 3, 6, Specialization(COUNT, 2))
         q = Fraction(2)
         assert got.value == (1 - q**-2) * (1 - q**-3)
         A2 = XModel.affine_space(2)
-        got2 = G.multi_point_density(A2, 2, 3, 6)
+        got2 = G.multi_point_density(A2, 3, 6)
         assert got.expression == "1/zeta_X(3)"
         assert got2.expression == "1/zeta_X(6)"
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
-            G.hyper_density(P1, 2, 0, 6)
+            G.hyper_density(XModel.point(), 0, 6)
 
 
 class TestLimits:

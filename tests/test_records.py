@@ -22,8 +22,8 @@ RECORDS = [
     (XModel.proj_space(2), ("kind", "dim", "params")),
     (Specialization(COUNT, 3), ("target", "q")),
     (TruncSeries((1, 2, Fraction(1, 2)), GRADING_POINTS), ("coeffs", "grading")),
-    (HypersurfaceDensity(1, 0, Fraction(3, 8), "1/zeta_X(2)", 4, Fraction(1, 81)),
-     ("d", "s", "value", "expression", "codim_cutoff", "tail_indicator")),
+    (HypersurfaceDensity(Fraction(3, 8), "1/zeta_X(2)", 4, Fraction(1, 81)),
+     ("value", "expression", "codim_cutoff", "tail_indicator")),
     (LimitReport(Fraction(1, 2), 10, Fraction(1, 3**11), "by Sym^j", "zeta_X(2)"),
      ("value", "codim_cutoff", "tail_indicator", "normalization", "zeta_expression")),
 ]
