@@ -36,12 +36,9 @@ from .partitions import GenPartition, int_partition
 
 
 def _render(value) -> str:
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
+    """A text or CSV cell: a non-integral fraction with its float, anything else as ``str``."""
+    if isinstance(value, Fraction) and value.denominator != 1:
         return f"{value.numerator}/{value.denominator} = {float(value):.6g}"
-    if isinstance(value, float):
-        return f"{value:.6g}"
     return str(value)
 
 
@@ -111,34 +108,23 @@ def _read_flags(args, verb: str, mode: str) -> dict:
     return {name(d, d): given[d] for d in reads if d != "guard" and given[d] is not None}
 
 
-def _emit(args, command: str, params: dict, result: dict, rows: list[tuple] | None = None) -> None:
-    """Print params + result as text, JSON or CSV.  ``rows`` feeds the CSV."""
+def _emit(args, command: str, params: dict, result, rows: list[tuple]) -> None:
+    """The one printer of command output: ``--json`` prints ``_json_value(result)``; text and CSV
+    print the params after ``params: `` or ``# ``, then each row with its cells rendered by
+    ``_render`` and joined by ``: `` or ``,``."""
     if getattr(args, "json", False):
-        print(json.dumps({"command": command, "params": params, "result": result}, sort_keys=True))
+        print(json.dumps({"command": command, "params": params, "result": _json_value(result)}, sort_keys=True))
         return
-    if getattr(args, "csv", False):
-        print("# " + json.dumps(params, sort_keys=True))
-        for row in rows or [(k, v) for k, v in result.items()]:
-            print(",".join(str(x) for x in row))
-        return
-    print("params: " + json.dumps(params, sort_keys=True))
-    if rows:
-        for row in rows:
-            print(": ".join(str(x) for x in row))
-    else:
-        for k, v in result.items():
-            print(f"{k}: {v}")
+    head, sep = ("# ", ",") if getattr(args, "csv", False) else ("params: ", ": ")
+    print(head + json.dumps(params, sort_keys=True))
+    for row in rows:
+        print(sep.join(map(_render, row)))
 
 
 def _emit_report(args, command: str, params: dict, report) -> None:
     """Print a ``LimitReport`` or ``HypersurfaceDensity``: its fields, the cutoff in JSON only."""
     fields = report._asdict()
-    rows = [(k, _render(v)) for k, v in fields.items() if k != "codim_cutoff"]
-    _emit(args, command, params, {k: _json_value(v) for k, v in fields.items()}, rows)
-
-
-def _series_rows(coeffs: list[str]) -> list[tuple]:
-    return [(f"t^{n}", c) for n, c in enumerate(coeffs)]
+    _emit(args, command, params, fields, [(k, v) for k, v in fields.items() if k != "codim_cutoff"])
 
 
 def _model_params(args, verb: str, mode: str, **head) -> tuple:
@@ -177,7 +163,7 @@ def cmd_series(args) -> int:
         route, _, head, _ = _config_series(args, args.kind, params)
         series = route(X, *head, n, spec)
     result = series.to_json()
-    _emit(args, "series", params, result, _series_rows(result["coeffs"]))
+    _emit(args, "series", params, result, [(f"t^{n}", c) for n, c in enumerate(result["coeffs"])])
     return 0
 
 
@@ -259,26 +245,18 @@ def cmd_oracle(args) -> int:
         params["counts"] = [int(x) for x in args.counts.split(",") if x.strip()]
         result = {"sym_counts": O.exp_formula_sym_counts(params["counts"], args.n)}
     result["elapsed_s"] = round(time.monotonic() - start, 3)
-
-    # a fraction prints as in hyper and limit
-    rows = [(k, _render(v) if isinstance(v, Fraction) else v) for k, v in (sweep or result).items()]
-    if sweep:
-        rows.insert(0, ("j", sweep_key[:-1]))
-    _emit(args, "oracle", params, _json_value(result), rows)
+    rows = [("j", sweep_key[:-1]), *sweep.items()] if sweep else list(result.items())
+    _emit(args, "oracle", params, result, rows)
     return 0
 
 
 def cmd_verify(args) -> int:
     results = V.run_suite(args.suite)
-    failures = [r for r in results if not r["ok"]]
-    if args.json:
-        print(json.dumps({"command": "verify", "params": {"suite": args.suite}, "result": results}, sort_keys=True))
-    else:
-        print("params: " + json.dumps({"suite": args.suite}))
-        for r in results:
-            print(f"{'PASS' if r['ok'] else 'FAIL'} {r['name']} ({r['elapsed_s']}s): {r['detail']}")
-        print(f"{len(results) - len(failures)}/{len(results)} criteria passed")
-    return 0 if not failures else 1
+    rows = [(f"{'PASS' if r['ok'] else 'FAIL'} {r['name']} ({r['elapsed_s']}s)", r["detail"]) for r in results]
+    passed = sum(r["ok"] for r in results)
+    rows.append((f"{passed}/{len(results)} criteria passed",))
+    _emit(args, "verify", {"suite": args.suite}, results, rows)
+    return 0 if passed == len(results) else 1
 
 
 @lru_cache(maxsize=None)  # built once per process: main reuses it

@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import GuardExceeded, InputError, InternalCheckError, ModelDataError
-from .motive import LaurentL, MotivicClass, SparsePoly, TruncSeries
+from .motive import LaurentL, MotivicClass, SparsePoly, TruncSeries, signed_sum
 from .records import strict
 
 MOTIVIC = "motivic-L"
@@ -67,8 +67,6 @@ class UVPoly(SparsePoly):
         return UVPoly({k: v // n for k, v in self._d.items()})
 
     def __str__(self):
-        if not self._d:
-            return "0"
         chunks = []
         for (p, q), v in self.terms:
             bits = []
@@ -78,13 +76,8 @@ class UVPoly(SparsePoly):
                 bits.append("u" if p == 1 else f"u^{p}")
             if q:
                 bits.append("v" if q == 1 else f"v^{q}")
-            body = "*".join(bits) if bits else "1"
-            chunks.append(("-" if v < 0 else "+", body))
-        sign, first = chunks[0]
-        out = ("-" if sign == "-" else "") + first
-        for sign, body in chunks[1:]:
-            out += f" {sign} {body}"
-        return out
+            chunks.append(("-" if v < 0 else "") + "*".join(bits))
+        return signed_sum(chunks)
 
     @staticmethod
     def parse(text: str) -> "UVPoly":

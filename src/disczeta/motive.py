@@ -24,7 +24,8 @@ Every reader of keys goes through one decoder, ``_decode``: it turns the
 S-part ``key >> 16`` of a key into its exponents, its nonzero pairs (i, e_i)
 and its text ``*S_i^e_i``, and remembers the last few thousand S-parts.  A
 ``LaurentL`` or ``MotivicClass`` prints its monomials with the S-monomials
-ascending by their (i, e_i) pairs, then the L exponent descending.
+ascending by their (i, e_i) pairs, then the L exponent descending, and every
+value class joins its signed terms by one rule, ``signed_sum``.
 
 Under a declared ambient dimension d, the monomial prod S_i^{e_i} * L^k has
 dimension d * sum(i*e_i) + k (``dim_grade``).  ``eval_at_L_power`` is the one
@@ -83,6 +84,11 @@ def _decode(syms: int) -> tuple:
     exps = struct.unpack(f"<{n}H", syms.to_bytes(2 * n, "little"))
     pairs = tuple(compress(enumerate(exps, 1), exps))
     return exps, pairs, "".join(f"*S_{i}" if e == 1 else f"*S_{i}^{e}" for i, e in pairs)
+
+
+def signed_sum(terms) -> str:
+    """The text of a sum of term texts, each with its own sign: ``1 - 2*L^-1``, or ``0``."""
+    return " + ".join(terms).replace(" + -", " - ") or "0"
 
 
 class SparsePoly:
@@ -261,15 +267,13 @@ class SparsePoly:
         return type(self)(kept), dropped
 
     def __str__(self) -> str:
-        if not self._d:
-            return "0"
         rows = []  # (S pairs, -L exponent, chunk): keys differ, so chunks are never compared
         for k, v in self._d.items():
             _, pairs, syms = _decode(k >> _BITS)
             e = (k & _MASK) - _OFFSET
             rows.append((pairs, -e, f"{v}*L^{e}{syms}" if e else f"{v}{syms}"))
         rows.sort()
-        return " + ".join([row[2] for row in rows]).replace(" + -", " - ")
+        return signed_sum([row[2] for row in rows])
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({dict(self.terms)!r})"

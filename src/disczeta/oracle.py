@@ -83,8 +83,8 @@ class FiniteField:
             self._mul = [[self._encode(poly_divmod(Fp, poly_mul(Fp, x, y), self.modulus)[1]) for y in polys]
                          for x in polys]
         self._inv = [0] + [row.index(1) for row in self._mul[1:]]
-        self._neg = [row.index(0) for row in self._add]
-        self._sub = [[self._add[a][self._neg[b]] for b in range(q)] for a in range(q)]
+        neg = [row.index(0) for row in self._add]
+        self._sub = [[self._add[a][neg[b]] for b in range(q)] for a in range(q)]
 
     def _decode(self, a: int) -> tuple:
         return tuple((a // self.p**i) % self.p for i in range(self.k))
@@ -94,9 +94,6 @@ class FiniteField:
 
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
-
-    def neg(self, a: int) -> int:
-        return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
         return self._sub[a][b]
@@ -531,7 +528,7 @@ def zeta_values(exponents: tuple[int, ...], terms: int = 10**4) -> dict[int, tup
     through one gcd for every s, and each s is reduced once, in the final Fraction.
     """
     if min(exponents) < 2 or terms < 1:
-        raise InputError(f"zeta_value needs s >= 2 and terms >= 1, got s in {exponents}, terms={terms}")
+        raise InputError(f"zeta_values needs s >= 2 and terms >= 1, got s in {exponents}, terms={terms}")
 
     def merge(x, y):  # over lcm(r, r') = r * (r' / g) = r' * (r / g), with g = gcd(r, r')
         g = math.gcd(x[1], y[1])
@@ -546,11 +543,6 @@ def zeta_values(exponents: tuple[int, ...], terms: int = 10**4) -> dict[int, tup
 
     numerators, root = _pairwise_sum(block_sums(), merge, ((0,) * len(exponents), 1))
     return {s: (Fraction(x, root**s), Fraction(1, (s - 1) * terms ** (s - 1))) for s, x in zip(exponents, numerators)}
-
-
-def zeta_value(s: int, terms: int = 10**4) -> tuple[Fraction, Fraction]:
-    """(truncated sum of n^-s, tail bound), from ``zeta_values``."""
-    return zeta_values((s,), terms)[s]
 
 
 def power_density_prediction(a: int, b: int, r: int, prime_bound: int = 10**5, guard: int = DEFAULT_GUARD) -> dict:
@@ -584,8 +576,8 @@ def power_density_prediction(a: int, b: int, r: int, prime_bound: int = 10**5, g
 
         return _pairwise_sum(rec(0, 0, Fraction(1)))
 
-    za, za_tail = zeta_value(a)
-    zb, zb_tail = (za, za_tail) if b == a else zeta_value(b)
+    zetas = zeta_values(tuple({a, b}))
+    (za, za_tail), (zb, zb_tail) = zetas[a], zetas[b]
     middle = sum((multi_prime_sum(i) for i in range(r)), Fraction(0))
     value = 1 - middle / zb - multi_prime_sum(r) / za
     tail = Fraction(1, prime_bound ** (b - 1)) * (r + 1) + za_tail + zb_tail

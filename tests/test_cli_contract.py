@@ -1,9 +1,10 @@
-"""Text and CSV output of the CLI, byte for byte, against a recorded golden.
+"""Text, CSV and JSON output of the CLI, byte for byte, against a recorded golden.
 
 ``tests/data/cli_contract.json`` holds, for one command per benchmark slot
 and for the edge cases of argument handling, the exit code, stdout and
-stderr of the text and the CSV form of the command.  Wall-clock times
-(``elapsed_s`` and the per-criterion times of ``verify``) are masked.
+stderr of the text and the CSV form of the command, and of the JSON form of
+each edge case.  Wall-clock times (``elapsed_s`` and the per-criterion times
+of ``verify``) are masked.
 
 Running this file as a script rewrites the golden from the current code:
 
@@ -92,11 +93,15 @@ EDGE_CASES = (
     "limit --of distinctnu --nu 2 --normalization M --X P1",
 )
 
-COMMANDS = list(SLOTS + EDGE_CASES) + [c + " --csv" for c in SLOTS + EDGE_CASES if c != "verify"]  # verify has no CSV
+COMMANDS = (
+    list(SLOTS + EDGE_CASES)
+    + [c + " --csv" for c in SLOTS + EDGE_CASES if c != "verify"]  # verify has no CSV
+    + [c + " --json" for c in EDGE_CASES]
+)
 
 
 def _mask(text: str) -> str:
-    text = re.sub(r"elapsed_s(: |,)[0-9.e-]+", r"elapsed_s\1<s>", text)
+    text = re.sub(r'(elapsed_s"?(?:: |,))[0-9.e-]+', r"\1<s>", text)
     return re.sub(r"^(PASS|FAIL) (\S+) \([0-9.e-]+s\)", r"\1 \2 (<s>)", text, flags=re.M)
 
 

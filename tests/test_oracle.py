@@ -51,13 +51,13 @@ class TestFiniteField:
         for a in els:
             assert F.add(a, 0) == a
             assert F.mul(a, 1) == a
-            assert F.add(a, F.neg(a)) == 0
+            assert F.add(a, F.sub(0, a)) == 0
             if a:
                 assert F.mul(a, F.inv(a)) == 1
         for a, b in itertools.product(els, repeat=2):
             assert F.add(a, b) == F.add(b, a)
             assert F.mul(a, b) == F.mul(b, a)
-            assert F.sub(a, b) == F.add(a, F.neg(b))
+            assert F.add(F.sub(a, b), b) == a
         for a, b, c in itertools.product(range(min(q, 5)), repeat=3):
             assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
             assert F.mul(a, F.mul(b, c)) == F.mul(F.mul(a, b), c)
@@ -423,14 +423,14 @@ class TestIntegerDensity:
 
     def test_prediction_r0(self):
         pred = O.power_density_prediction(2, 2, 0)
-        z2, _ = O.zeta_value(2)
+        z2, _ = O.zeta_values((2,))[2]
         assert abs(pred["value"] - (1 - 1 / z2)) < Fraction(1, 10**6)
 
     @pytest.mark.parametrize("s", [2, 3, 4])
     def test_zeta_value_is_the_sequential_sum(self, s):
         # around the block boundaries, 16 terms per block; 33 and 49 terms make 3 and 4 blocks
         for terms in (1, 15, 16, 17, 33, 49, 3000, 3001):
-            total, tail = O.zeta_value(s, terms)
+            total, tail = O.zeta_values((s,), terms)[s]
             assert total == sum((Fraction(1, n**s) for n in range(1, terms + 1)), Fraction(0)), terms
             assert tail == Fraction(1, (s - 1) * terms ** (s - 1))
 
@@ -449,7 +449,7 @@ class TestIntegerDensity:
                 part += partials.pop()
                 i //= 2
             partials.append(part)
-        assert O.zeta_value(s) == (sum(partials, Fraction(0)), Fraction(1, (s - 1) * 10 ** (4 * (s - 1))))
+        assert O.zeta_values((s,))[s] == (sum(partials, Fraction(0)), Fraction(1, (s - 1) * 10 ** (4 * (s - 1))))
 
     @pytest.mark.parametrize("a,b,r", [(2, 2, 0), (3, 3, 0), (2, 3, 1)])
     def test_density_matches_divisibility(self, a, b, r):
@@ -467,7 +467,7 @@ class TestIntegerDensity:
         # (p_1 > 50); the zeta values, checked above, are stubbed to save time
         a, b, prime_bound = 3, 8, 200
         za, zb = Fraction(6, 5), Fraction(1009, 1000)
-        monkeypatch.setattr(O, "zeta_value", lambda s: ({a: za, b: zb}[s], Fraction(0)))
+        monkeypatch.setattr(O, "zeta_values", lambda exponents: {s: ({a: za, b: zb}[s], Fraction(0)) for s in exponents})
         primes = [p for p in range(2, prime_bound + 1) if all(p % d for d in range(2, p))]
 
         def multi_prime_sum(i):
@@ -579,7 +579,7 @@ class TestZetaValues:
     @pytest.mark.parametrize("terms", [0, -3])
     def test_refuses_fewer_than_one_term(self, terms):
         with pytest.raises(InputError):
-            O.zeta_value(2, terms)
+            O.zeta_values((2,), terms)
         with pytest.raises(InputError):
             O.zeta_values((2, 3), terms)
 
@@ -592,7 +592,7 @@ class TestZetaValues:
         got = O.zeta_values((2, 3, 5), terms)
         for s in (2, 3, 5):
             total = sum((Fraction(1, n**s) for n in range(1, terms + 1)), Fraction(0))
-            assert got[s] == O.zeta_value(s, terms) == (total, Fraction(1, (s - 1) * terms ** (s - 1)))
+            assert got[s] == O.zeta_values((s,), terms)[s] == (total, Fraction(1, (s - 1) * terms ** (s - 1)))
 
 
 class TestExpFormula:

@@ -3,7 +3,9 @@ evaluation code with them.
 
 * A stable limit from its definition: lim_j Y_j / [Sym^j X] or Y_j / M^j, with
   Y_j the coefficient of the series Y itself (the references in ``chains.py``),
-  read at two large j as a Laurent polynomial in L^-1 down to the cutoff.
+  read at two large j as a Laurent polynomial in L^-1 down to the cutoff; for
+  ``distinctnu``, lim_j w_{1^j nu} / [Sym^(j+|nu|) X].  The hodge-deligne value
+  of each is the motivic one with L^e -> (uv)^e.
 * The densities of smooth and one-singular-point divisors on P^n, from the
   GL_{n+1} closed forms 1/zeta_{P^n}(n+1) = prod_{k=1..n+1} (1 - L^-k) and
   zeta^[1]_{P^n}(n+1)/zeta_{P^n}(n+1) = L^-1 prod_{k=2..n+1} (1 - L^-k),
@@ -12,7 +14,7 @@ evaluation code with them.
 
 import io
 import json
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -27,12 +29,19 @@ from chains import k_profile_y, kbar_y, sym_s_y
 MOTIVIC_L = Specialization(MOTIVIC)
 
 
+def _run(command: str) -> tuple[int, str]:
+    """The exit code and stdout of ``disczeta <command> --json``."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = cli.main([*command.split(), "--json"])
+    return code, out.getvalue()
+
+
 def _value(command: str):
     """The ``value`` that ``disczeta <command> --json`` prints."""
-    out = io.StringIO()
-    with redirect_stdout(out):
-        assert cli.main([*command.split(), "--json"]) == 0
-    return json.loads(out.getvalue())["result"]["value"]
+    code, out = _run(command)
+    assert code == 0
+    return json.loads(out)["result"]["value"]
 
 
 def _exponents(c) -> dict[int, int]:
@@ -43,6 +52,11 @@ def _exponents(c) -> dict[int, int]:
 def _motivic(exps: dict[int, int], cutoff: int) -> str:
     """sum c L^e over the e >= -cutoff, printed as the CLI prints it."""
     return str(MotivicClass.coerce(LaurentL.of({e: c for e, c in exps.items() if e >= -cutoff})))
+
+
+def _hodge(exps: dict[int, int], cutoff: int) -> str:
+    """sum c (uv)^e over the e >= -cutoff, printed as the CLI prints it."""
+    return str(UVPoly.of({(e, e): c for e, c in exps.items() if e >= -cutoff}))
 
 
 def _divided(y: dict[int, int], sym: dict[int, int], cutoff: int) -> dict[int, int]:
@@ -60,37 +74,44 @@ def _divided(y: dict[int, int], sym: dict[int, int], cutoff: int) -> dict[int, i
 
 
 def _y_at(of: str, arg, X: XModel, j: int):
-    """Y_j: the coefficient of t^j of K_(<2)nu, Kbar_{1*nu} or sum_j [Sym^j_s X] t^j."""
-    if of == "k":
+    """Y_j: the coefficient of t^j of K_(<2)nu (w_{1^j nu} for distinct parts nu > 1),
+    Kbar_{1*nu} or sum_j [Sym^j_s X] t^j."""
+    if of in ("k", "distinctnu"):
         return k_profile_y(X, MOTIVIC_L, pt.multiplicity_profile(arg), 2, j)[j]
     if of == "kbar":
         return kbar_y(X, MOTIVIC_L, arg, j)[j]
     return sym_s_y(X, arg, j, MOTIVIC_L)[j]
 
 
-# --of and its argument: nu for k and kbar (ascending), s for symsing
-LIMITS = [("k", ()), ("k", (2,)), ("kbar", (2,)), ("kbar", (2, 2)), ("symsing", 0), ("symsing", 1)]
+# --of and its argument: nu for k, kbar and distinctnu (ascending), s for symsing
+LIMITS = [("k", ()), ("k", (2,)), ("kbar", (2,)), ("kbar", (2, 2)), ("symsing", 0), ("symsing", 1),
+          ("distinctnu", (2,)), ("distinctnu", (2, 3))]
 # each model with the two j at which its Y_j are read
 MODELS = [("A^1", (20, 30)), ("P1", (20, 30)), ("P2", (24, 36))]
 
 
-@pytest.mark.parametrize("cutoff", [3, 6])
+@pytest.mark.parametrize("cutoff", [3, 6, 8])
 @pytest.mark.parametrize("normalization", ["Sym", "M"])
 @pytest.mark.parametrize("model, js", MODELS, ids=[m for m, _ in MODELS])
-@pytest.mark.parametrize("of, arg", LIMITS, ids=["k", "k-2", "kbar-2", "kbar-2,2", "symsing-0", "symsing-1"])
+@pytest.mark.parametrize("of, arg", LIMITS, ids=["k", "k-2", "kbar-2", "kbar-2,2", "symsing-0", "symsing-1",
+                                                 "distinctnu-2", "distinctnu-2,3"])
 def test_limit_is_its_definition_at_two_large_j(of, arg, model, js, normalization, cutoff):
     X = XModel.proj_space(int(model[1])) if model.startswith("P") else XModel.affine_space(1)
     flag = f"--s {arg}" if of == "symsing" else f"--nu {','.join(map(str, arg))}" if arg else ""
-    printed = _value(f"limit --of {of} {flag} --X {model} --spec motivic-L --cutoff {cutoff} "
-                     f"--normalization {normalization}")
+    command = f"limit --of {of} {flag} --X {model} --cutoff {cutoff} --normalization {normalization} --spec"
+    if of == "distinctnu" and normalization == "M":  # normalized by Sym^(j+|nu|) alone
+        assert _run(f"{command} motivic-L") == (2, "")
+        return
+    shift = sum(arg) if of == "distinctnu" else 0
     ratios = []
     for j in js:
         y = _exponents(_y_at(of, arg, X, j))
         if normalization == "M":
-            ratios.append(_motivic({e - j * X.dim: c for e, c in y.items()}, cutoff))
+            ratios.append({e - j * X.dim: c for e, c in y.items()})
         else:
-            ratios.append(_motivic(_divided(y, _exponents(X.sym(j, MOTIVIC_L)), cutoff), cutoff))
-    assert ratios == [printed, printed]
+            ratios.append(_divided(y, _exponents(X.sym(j + shift, MOTIVIC_L)), cutoff))
+    assert [_motivic(r, cutoff) for r in ratios] == [_value(f"{command} motivic-L")] * 2
+    assert [_hodge(r, cutoff) for r in ratios] == [_value(f"{command} hodge-deligne")] * 2
 
 
 def _product(factors: list[int], lead: int = 0) -> dict[int, int]:
