@@ -34,7 +34,8 @@ coefficientwise, m the multiplicity profile of lambda; tier-1 checks it
 against the sum over Q.  Densities are computed multiplicity-graded only.
 
 Each coefficient the recursions build is one ``motive._dot`` of (int, value)
-pairs, a product such as w(c) w(rest) or w * c passed in as one more pair.
+pairs, a product such as w(c) w(rest) or w * c passed in as one more pair.  The
+K recursion reads its own earlier coefficients: no series is inverted inside it.
 
 Evaluation at t = L^-m happens in a target ring (``_ring``): motivic-L,
 count(q) or Hodge-Deligne.  Only the ring classes know which one it is; the
@@ -227,25 +228,22 @@ def _k_profile(X: XModel, spec: Specialization | None, profile: tuple[int, ...],
     only ``k_lt_a_nu`` (the ``series`` verb) multiplies by Z_X.
 
     The base, the empty profile, is Z(t^a)^-1, taken as (Z^-1)(t^a) from the
-    inverse at order // a.  The members of A_<a(nu) with nu's own profile form
-    the denominator; each other member has a strictly finer profile and
-    subtracts K/Z of it, shifted up by its excess."""
+    inverse at order // a.  Otherwise E[i] = w_nu B[i] - sum n E'[i - e] over the
+    members of A_<a(nu) but nu, one ``_dot``: E' is K/Z of a strictly finer profile,
+    or E itself, read at a coefficient already built, for nu's own profile."""
     if not profile:
         return zeta_series(X, order // a, spec).inverse().compose_power(a, order)
     base = _k_profile(X, spec, (), a, order)
-    den = [0] * (order + 1)
-    smaller = []  # (count, excess, K/Z of the finer profile)
-    for (split, excess), n in _member_counts(profile, a, order).items():
-        if split == profile:
-            den[excess] += n
-        else:
-            smaller.append((n, excess, _k_profile(X, spec, split, a, order)))
-    if den[0] != 1:
+    members = _member_counts(profile, a, order)
+    if members.pop((profile, 0), 0) != 1:  # nu is the only member of excess 0
         raise InternalCheckError("denominator of the K-recursion lost its constant term 1")
+    E: list = []
+    terms = [(n, e, E if split == profile else _k_profile(X, spec, split, a, order))
+             for (split, e), n in members.items()]
     w = w_of(X, profile, spec)
-    numerator = (_dot([(w, c)] + [(-n, K[i - e]) for n, e, K in smaller if e <= i])
-                 for i, c in enumerate(base.coeffs))
-    return TruncSeries.from_coeffs(numerator) * TruncSeries.from_coeffs(den).inverse()
+    for i, b in enumerate(base.coeffs):
+        E.append(_dot([(w, b)] + [(-n, K[i - e]) for n, e, K in terms if e <= i]))
+    return TruncSeries.from_coeffs(E)
 
 
 def kbar_nu(X: XModel, nu, N: int, spec: Specialization | None = None) -> TruncSeries:
@@ -260,7 +258,7 @@ def kbar_over_zeta(X: XModel, nu, N: int, spec: Specialization | None = None) ->
     Kbar_{1*(a nu')} = (Kbar_{1*nu'} - sum_{mu in S(nu',a)} K_(<a)mu
     t^(sum mu - sum nu')) / t^a, read divided by Z, asserting that every
     negative power of t cancels.  The mu are grouped by (excess, profile),
-    and each coefficient is one ``_dot``.
+    and each coefficient is one ``_dot`` over the cached K/Z: no series is inverted.
     """
     nu = int_partition(nu)
     if any(p < 2 for p in nu):

@@ -332,7 +332,8 @@ def s_set(nu: tuple[int, ...], a: int) -> frozenset[tuple[int, ...]]:
     nu + (a,) plus ones in that wider sense.  That such a b of B(nu, j0) is
     then also in B(nu + (a,), j0 - a), where k_B < a and no block is ones
     alone, is not proved here; tests/test_partitions.py holds it against the
-    closure route.
+    closure route, and test_genfun.py::test_kbar_is_the_sum_over_the_closure
+    holds the Kbar built on it against Kbar's definition, nu packing mu.
     """
     nu = int_partition(nu)
     if a < 2:

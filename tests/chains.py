@@ -2,12 +2,14 @@
 (a signed sum of ``sym_product`` over chains), with formalization, a
 breadth-first merge closure, S(nu, a) by the merge closure and the profile sum
 for zinv_lambda as references; the K, Kbar and Sym^j_s series computed as Y
-itself rather than as E = Y/Z_X; and the regex-chain parsers of ``--X`` and
+itself rather than as E = Y/Z_X; Kbar from its definition, the partitions into
+whose parts nu packs, with no S(nu, a); and the regex-chain parsers of ``--X`` and
 ``--spec`` that try every pattern in turn, as references for the parsers that
 dispatch on the prefix."""
 
 import math
 import re
+from collections import Counter
 from functools import lru_cache
 
 from disczeta import genfun as G
@@ -127,6 +129,49 @@ def kbar_y(X, spec, nu: tuple[int, ...], order: int) -> TruncSeries:
         K = k_profile_y(X, spec, pt.multiplicity_profile(mu), a, order + a)
         acc = acc - K.shift_up(sum(mu) - sum(rest))
     return acc.shift_down(a)
+
+
+def partitions(n: int, low: int, high: int):
+    """The partitions of n into parts in [low, high], parts descending."""
+    if not n:
+        yield ()
+        return
+    for first in range(min(n, high), low - 1, -1):
+        for rest in partitions(n - first, low, first):
+            yield (first, *rest)
+
+
+def packs(parts: tuple[int, ...], bins: tuple[int, ...]) -> bool:
+    """Whether ``parts``, descending, fit into bins of capacities ``bins``: each part in
+    turn is tried in each distinct capacity left that holds it, once."""
+    if not parts:
+        return True
+    head, rest = parts[0], parts[1:]
+    for c in set(bins):
+        if c >= head:
+            i = bins.index(c)
+            if packs(rest, bins[:i] + (c - head,) + bins[i + 1:]):
+                return True
+    return False
+
+
+def kbar_by_packing(X, spec, nu: tuple[int, ...], order: int) -> TruncSeries:
+    """Kbar_{1*nu}(t) from its definition, with no S-set and no K: [wbar_{1^j nu}] sums
+    w_mu over the merge closure of 1^j nu, which is the partitions mu of j + |nu|
+    into whose parts nu packs (ones fill what nu leaves).  A part below min(nu) holds
+    no part of nu, so mu is its big parts b, into which nu packs, and any parts below
+    min(nu); the mu are counted by profile, the two sides' profiles joined."""
+    low, size = min(nu, default=1), sum(nu)
+    desc = tuple(sorted(nu, reverse=True))
+    big = Counter((pt.multiplicity_profile(b), sum(b) - size) for n in range(size, size + order + 1)
+                  for b in partitions(n, low, n) if packs(desc, b))
+    small = Counter((pt.multiplicity_profile(s), n) for n in range(order + 1) for s in partitions(n, 1, low - 1))
+    terms: list = [[] for _ in range(order + 1)]
+    for (pb, jb), cb in big.items():
+        for (ps, js), cs in small.items():
+            if jb + js <= order:
+                terms[jb + js].append((cb * cs, G.w_of(X, pb + ps, spec)))
+    return TruncSeries.from_coeffs(map(_dot, terms))
 
 
 def sym_s_y(X, s: int, N: int, spec=None) -> TruncSeries:

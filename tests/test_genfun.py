@@ -4,7 +4,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from disczeta import genfun as G
@@ -14,7 +14,16 @@ from disczeta.models import COUNT, HODGE, MOTIVIC, Specialization, XModel
 from disczeta.motive import GRADING_MULT, LaurentL, MotivicClass, TruncSeries, dim_grade
 from disczeta.partitions import GenPartition
 
-from chains import formalization_with_profile, k_profile_y, kbar_y, ll_chains, sym_product, sym_s_y, zinv_by_profiles
+from chains import (
+    formalization_with_profile,
+    k_profile_y,
+    kbar_by_packing,
+    kbar_y,
+    ll_chains,
+    sym_product,
+    sym_s_y,
+    zinv_by_profiles,
+)
 
 S = MotivicClass.sym
 A1 = XModel.affine_space(1)
@@ -640,3 +649,39 @@ def test_e_routes_match_y_references(X, spec):
         Y = sym_s_y(X, s, n, spec)
         assert G.sym_s_series(X, s, n, spec) == Y, s
         assert G.sym_s_over_zeta(X, s, n, spec) == Y * Zinv, s
+
+
+def _model_id(v):
+    return v.label() if isinstance(v, XModel) else str(v)
+
+
+@st.composite
+def k_cases(draw):
+    """(a, nu, N): a in {2, 3}, nu of 1-6 parts in a..a+3, N in 4..10."""
+    a = draw(st.sampled_from((2, 3)))
+    nu = draw(st.lists(st.integers(min_value=a, max_value=a + 3), min_size=1, max_size=6))
+    return a, tuple(sorted(nu)), draw(st.integers(min_value=4, max_value=10))
+
+
+@pytest.mark.parametrize("X,spec", [(SYM, None), (P1, Specialization(COUNT, 3)),
+                                    (XModel.proj_space(2), Specialization(HODGE))], ids=_model_id)
+@given(case=k_cases())
+@settings(max_examples=20, deadline=None)
+def test_k_recursion_matches_the_denominator_inverse(X, spec, case):
+    # production solves K/Z in place, reading its own earlier coefficients;
+    # chains.k_profile_y still divides by the series of nu's own-profile members
+    a, nu, N = case
+    Y = k_profile_y(X, spec, pt.multiplicity_profile(nu), a, N)
+    assert G.k_over_zeta(X, nu, a, N, spec) == Y * G.zeta_series(X, N, spec).inverse()
+
+
+@pytest.mark.parametrize("X,spec", [(SYM, None), (P1, Specialization(MOTIVIC)), (P1, Specialization(COUNT, 3)),
+                                    (XModel.proj_space(2), Specialization(HODGE))], ids=_model_id)
+@given(nu=st.lists(st.integers(min_value=2, max_value=6), max_size=6), N=st.integers(min_value=0, max_value=10))
+@example(nu=[2] * 6, N=8)
+@example(nu=[2, 2, 3, 5], N=8)
+@settings(max_examples=15, deadline=None)
+def test_kbar_is_the_sum_over_the_closure(X, spec, nu, N):
+    # the s_set step of the Kbar recursion against Kbar's definition, mu packed by nu
+    nu = tuple(sorted(nu))
+    assert G.kbar_nu(X, nu, N, spec) == kbar_by_packing(X, spec, nu, N), nu

@@ -61,6 +61,10 @@ FRONTIER = {
     "limit_distinctnu_nu234_P1_hodge_cutoff10.json": "limit --of distinctnu --nu 2,3,4 --X P1 --spec hodge-deligne --cutoff 10 --json",
     "symsing_s3_P2_hodge_trunc16.json": "series symsing --s 3 --X P2 --spec hodge-deligne --trunc 16 --json",
     "limit_kbar_nu2x5_3_P2_hodge_cutoff12.json": "limit --of kbar --nu 2^5,3 --X P2 --spec hodge-deligne --cutoff 12 --json",
+    "k_nu2x8_trunc12.json": "series k --nu 2^8 --trunc 12 --json",
+    "k_nu2x6_P2_hodge_trunc14.json": "series k --nu 2^6 --X P2 --spec hodge-deligne --trunc 14 --json",
+    "kbar_nu2x6_3_trunc10.json": "series kbar --nu 2^6,3 --trunc 10 --json",
+    "kbar_nu2x4_3_P1_count_q3_trunc12.json": "series kbar --nu 2^4,3 --X P1 --spec count:q=3 --trunc 12 --json",
 }
 
 

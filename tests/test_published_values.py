@@ -10,10 +10,13 @@ evaluation code with them.
   GL_{n+1} closed forms 1/zeta_{P^n}(n+1) = prod_{k=1..n+1} (1 - L^-k) and
   zeta^[1]_{P^n}(n+1)/zeta_{P^n}(n+1) = L^-1 prod_{k=2..n+1} (1 - L^-k),
   asked for without ``--d``.
+* The density of divisors with no m-multiple point, 1/zeta_X(k) with
+  k = C(n+m-1, n): prod_{i=0..n} (1 - L^(i-k)) on P^n and 1 - L^(n-k) on A^n.
 """
 
 import io
 import json
+import math
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -140,3 +143,20 @@ def test_hyper_on_projective_space_is_the_gl_closed_form(n, cutoff):
             smooth *= 1 - Fraction(1, q**k)
         value = _value(f"hyper --X P{n} --s 0 --cutoff {cutoff} --spec count:q={q}")
         assert Fraction(value["fraction"]) == smooth, q
+
+
+@pytest.mark.parametrize("cutoff", [4, 8])
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("model", ["P1", "P2", "P3", "A^1", "A^2"])
+def test_hyper_multi_is_the_closed_form(model, m, cutoff):
+    n = int(model[-1])
+    k = math.comb(n + m - 1, n)
+    exps = _product(range(k - n, k + 1)) if model.startswith("P") else _product([k - n])
+    past = max((e for e in exps if e < -cutoff), default=-math.inf)  # the first term the cutoff drops
+    for spec, printed, scale in (("motivic-L", _motivic(exps, cutoff), 1), ("hodge-deligne", _hodge(exps, cutoff), 2)):
+        code, out = _run(f"hyper --X {model} --multi {m} --cutoff {cutoff} --spec {spec}")
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["value"] == printed, spec
+        # -inf exactly when no term of the product lies past the cutoff
+        assert result["tail_indicator"] == scale * past, spec

@@ -52,7 +52,7 @@ GEN, MOD, ORA = "tests/test_genfun.py::", "tests/test_models.py::", "tests/test_
 PUB, VER = "tests/test_published_values.py::", "tests/test_verify.py::test_criterion_passes"
 DEFINITION = PUB + "test_limit_is_its_definition_at_two_large_j"
 MEMBERS = "genfun._member_counts (held against partitions.add_lt_a)"
-S_SET = "partitions.s_set (item 6)"
+S_SET = "partitions.s_set (held by test_genfun.py::test_kbar_is_the_sum_over_the_closure)"
 EULER_POWER = "the Euler power structure (1 + sum p_i)^chi, item 4(b) at L -> 1"
 
 REGISTRY = {
@@ -78,18 +78,22 @@ REGISTRY = {
     ("series", "kbar", "symbolic"): (
         Route("closed form", (GEN + "TestKbar::test_single_part_closed_form", GEN + "TestKbar::test_closed_form_matches_recursion")),
         Route("Y-space reference", (GEN + "test_e_routes_match_y_references[symbolic(dim=1)-None]",), S_SET),
+        Route("definition", (GEN + "test_kbar_is_the_sum_over_the_closure[symbolic(dim=1)-None]",)),
     ),
     ("series", "kbar", "motivic-L"): (
         Route("closed form", (VER + "[affine-closed-forms]", GEN + "TestKbar::test_affine_closed_form")),
         Route("Y-space reference", (GEN + "test_e_routes_match_y_references[P1-motivic-L]",), S_SET),
+        Route("definition", (GEN + "test_kbar_is_the_sum_over_the_closure[P1-motivic-L]",)),
     ),
     ("series", "kbar", "count"): (
         Route("closed form", (GEN + "TestKbar::test_counts_22",)),
         Route("Y-space reference", (GEN + "test_e_routes_match_y_references[counts:q=3-count:q=3]",), S_SET),
+        Route("definition", (GEN + "test_kbar_is_the_sum_over_the_closure[P1-count:q=3]",)),
     ),
     ("series", "kbar", "euler"): Open(4, EULER_POWER),
     ("series", "kbar", "hodge-deligne"): (
         Route("Y-space reference", (GEN + "test_e_routes_match_y_references[P2-hodge-deligne]",), S_SET),
+        Route("definition", (GEN + "test_kbar_is_the_sum_over_the_closure[P2-hodge-deligne]",)),
     ),
     ("series", "symsing", "symbolic"): (
         Route("definition", (GEN + "TestSymS::test_stratification", VER + "[sym-s-stratification]")),
@@ -198,12 +202,16 @@ REGISTRY = {
         Route("closed form", (PUB + "test_hyper_on_projective_space_is_the_gl_closed_form",)),
     ),
     ("hyper", "multi", "symbolic"): Refused("hyper --multi 2 --cutoff 3"),
-    ("hyper", "multi", "motivic-L"): Open(10, "the closed form 1/zeta_{P^n}(k) = prod_{i=0..n} (1 - L^(i-k))"),
+    ("hyper", "multi", "motivic-L"): (
+        Route("closed form", (PUB + "test_hyper_multi_is_the_closed_form",)),
+    ),
     ("hyper", "multi", "count"): (
         Route("closed form", (GEN + "TestDensities::test_multi_point",)),
     ),
     ("hyper", "multi", "euler"): Refused("hyper --multi 2 --X P1 --spec euler --cutoff 3"),
-    ("hyper", "multi", "hodge-deligne"): Open(10, "the closed form 1/zeta_{P^n}(k) at L -> uv"),
+    ("hyper", "multi", "hodge-deligne"): (
+        Route("closed form", (PUB + "test_hyper_multi_is_the_closed_form",)),
+    ),
     ("oracle", "wlambda", None): (
         Route("definition", (ORA + "TestCountWLambda::test_closed_points_match_gcd_route",)),
         Route("closed form", (ORA + "TestCountWLambda::test_matches_w_class", ORA + "TestCountWLambda::test_sixteen_quartics")),
@@ -230,7 +238,6 @@ REGISTRY = {
 ROUTED = {cell: entry for cell, entry in REGISTRY.items() if not isinstance(entry, (Refused, Open))}
 # the cells whose every route also runs a step of production: held only modulo that step
 SHARED_ONLY = {
-    ("series", "kbar", "hodge-deligne"),
     ("limit", "k", "hodge-deligne"),
     ("limit", "kbar", "motivic-L"),
     ("limit", "kbar", "hodge-deligne"),
